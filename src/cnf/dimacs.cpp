@@ -1,5 +1,6 @@
 #include "cnf/dimacs.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -38,6 +39,13 @@ ParseResult parse_dimacs(std::istream& in) {
       std::string p, fmt;
       hs >> p >> fmt >> declared_vars >> declared_clauses;
       if (!hs || fmt != "cnf") return fail(line_no, "malformed 'p cnf' header");
+      // No DIMACS literal (an int) can name a variable beyond INT32_MAX, so
+      // a larger count is malformed, not merely big.
+      if (declared_vars > static_cast<std::size_t>(INT32_MAX)) {
+        return fail(line_no, "declared variable count " +
+                                 std::to_string(declared_vars) +
+                                 " exceeds INT32_MAX");
+      }
       saw_header = true;
       formula = CnfFormula(declared_vars);
       continue;
@@ -50,7 +58,10 @@ ParseResult parse_dimacs(std::istream& in) {
         formula.add_clause_dimacs(pending);
         pending.clear();
       } else {
-        if (static_cast<std::size_t>(std::abs(lit)) > declared_vars) {
+        // Widen before negating: negating INT_MIN overflows an int.
+        const std::int64_t wide = lit;
+        if (static_cast<std::size_t>(wide < 0 ? -wide : wide) >
+            declared_vars) {
           return fail(line_no, "literal " + std::to_string(lit) +
                                    " exceeds declared variable count");
         }

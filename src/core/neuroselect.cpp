@@ -208,10 +208,13 @@ std::vector<PriorityHead> train_priority_heads(
 std::vector<float> classify_batch(
     nn::SatClassifier& model,
     const std::vector<const nn::GraphBatch*>& batch) {
-  if (batch.empty()) return {};
-  const nn::PackedGraphs packed = nn::PackedGraphs::build(batch);
-  nn::BatchedInferenceSession session(model, packed);
-  return session.predict_probabilities();
+  std::vector<float> probs(batch.size(), 0.0f);
+  runtime::parallel_for(batch.size(), [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      probs[i] = model.predict_probability(*batch[i]);
+    }
+  });
+  return probs;
 }
 
 InstanceRun run_instance(nn::SatClassifier* model,

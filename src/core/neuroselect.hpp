@@ -160,13 +160,12 @@ std::vector<PriorityHead> train_priority_heads(
     const std::vector<solver::SolverOptions>& configs,
     const PriorityTrainOptions& options = {});
 
-/// P(label == 1) for every graph in `batch`. The batch is packed into one
-/// block-diagonal `PackedGraphs` and evaluated through a single recorded
-/// program + inference-mode executor (DESIGN.md §13): thread-level
-/// parallelism lives inside the batch-sized GEMM/SpMM kernels rather than
-/// fanning one session per graph. The model parameters are only read, and
-/// no gradient storage is allocated. Bitwise identical to calling
-/// `model.predict_probability` per graph, for any thread count.
+/// P(label == 1) for every graph in `batch`, in batch order: a parallel
+/// loop over the graphs, one `model.predict_probability` per graph
+/// (DESIGN.md §13). Each index writes only its own slot and per-graph
+/// inference is thread-count invariant, so slot i is bitwise equal to
+/// `model.predict_probability(*batch[i])` at any thread count. The model
+/// parameters are only read, and no gradient storage is allocated.
 std::vector<float> classify_batch(
     nn::SatClassifier& model,
     const std::vector<const nn::GraphBatch*>& batch);

@@ -6,33 +6,11 @@
 #include <string>
 
 #include "nn/kernels_simd.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace ns::nn {
 namespace {
 
 bool is_leaf(Op op) { return op == Op::kConstant || op == Op::kParam; }
-
-/// Same dispatch policy as matrix.cpp: below this many multiply-adds (or
-/// with an effectively single-threaded pool) the segmented kernels run
-/// inline, so no `runtime::RangeBody` std::function is ever constructed
-/// and the allocation-free inference contract holds.
-constexpr std::size_t kMinParallelOps = std::size_t{1} << 15;
-
-template <typename Body>
-void for_each_output_row(std::size_t rows, std::size_t total_ops,
-                         const Body& body) {
-  if (total_ops < kMinParallelOps ||
-      runtime::global_pool().effective_size() <= 1) {
-    body(0, rows);
-    return;
-  }
-  // NS_SUPPRESS(blocking, allocation): pool dispatch engages only above
-  // kMinParallelOps with a multi-thread pool; the steady-state inference
-  // contract is measured on the inline branch above, and dispatch cost is
-  // amortized over >=2^15 multiply-adds when taken.
-  runtime::global_pool().parallel_for(rows, body);
-}
 
 }  // namespace
 
@@ -116,12 +94,6 @@ void Executor::plan() {
     slots_[s].reserve(slot_cap[s]);
   }
   scratch_.assign(n, 0.0f);
-  seg_scratch_.assign(n, {});
-  for (std::int32_t i = 0; i < n; ++i) {
-    if (insts[i].op == Op::kSegmentFrobeniusNormalize) {
-      seg_scratch_[i].assign(prog_->segments(insts[i].u0).size() - 1, 0.0f);
-    }
-  }
 }
 
 std::size_t Executor::workspace_elements() const {
@@ -430,112 +402,6 @@ void Executor::forward() {
             pos_weight * target * sp_neg + (1.0f - target) * sp_pos;
         break;
       }
-      // Segmented ops (DESIGN.md §13): each segment replays the exact
-      // per-element float operation order of the corresponding per-graph
-      // op, so a packed batch is bitwise equal to running the blocks one
-      // by one.
-      case Op::kSegmentMeanRows: {
-        const Matrix& va = value_of(in.a);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        const std::size_t d = y.cols();
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          float* yrow = y.data() + g * d;
-          for (std::size_t r = off[g]; r < off[g + 1]; ++r) {
-            const float* row = va.data() + r * d;
-            for (std::size_t c = 0; c < d; ++c) yrow[c] += row[c];
-          }
-          const float inv = 1.0f / static_cast<float>(off[g + 1] - off[g]);
-          for (std::size_t c = 0; c < d; ++c) yrow[c] *= inv;
-        }
-        break;
-      }
-      case Op::kSegmentFrobeniusNormalize: {
-        const Matrix& va = value_of(in.a);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        const std::size_t d = y.cols();
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const float* src = va.data() + off[g] * d;
-          const std::size_t count = (off[g + 1] - off[g]) * d;
-          double acc = 0.0;
-          for (std::size_t k = 0; k < count; ++k) {
-            acc += static_cast<double>(src[k]) * src[k];
-          }
-          const float norm = static_cast<float>(std::sqrt(acc));
-          seg_scratch_[i][g] = norm;
-          const float inv = norm > 0.0f ? 1.0f / norm : 0.0f;
-          float* dst = y.data() + off[g] * d;
-          for (std::size_t k = 0; k < count; ++k) dst[k] = src[k] * inv;
-        }
-        break;
-      }
-      case Op::kSegmentMatmulAtB: {
-        const Matrix& va = value_of(in.a);
-        const Matrix& vb = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        const std::size_t dac = va.cols(), dbc = vb.cols();
-        // Output row g·da + i is column i of A_g: same ascending-k
-        // accumulation (and zero skip) as matmul_at_b_into, with one
-        // owner thread per output row.
-        for_each_output_row(
-            y.rows(), static_cast<std::size_t>(va.rows()) * dac * dbc,
-            [&](std::size_t r0, std::size_t r1) {
-              for (std::size_t r = r0; r < r1; ++r) {
-                const std::size_t g = r / dac, col = r % dac;
-                float* crow = y.data() + r * dbc;
-                for (std::size_t k = off[g]; k < off[g + 1]; ++k) {
-                  const float aki = va.data()[k * dac + col];
-                  if (aki == 0.0f) continue;
-                  const float* brow = vb.data() + k * dbc;
-                  if (simd::axpy(crow, brow, aki, dbc)) continue;
-                  for (std::size_t j = 0; j < dbc; ++j) {
-                    crow[j] += aki * brow[j];
-                  }
-                }
-              }
-            });
-        break;
-      }
-      case Op::kSegmentBlockMatmul: {
-        const Matrix& va = value_of(in.a);
-        const Matrix& vw = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& y = out_of(i);
-        y.fill(0.0f);
-        const std::size_t d = va.cols(), dc = vw.cols();
-        for_each_output_row(
-            y.rows(), static_cast<std::size_t>(va.rows()) * d * dc,
-            [&](std::size_t r0, std::size_t r1) {
-              // Segment of the chunk's first row; advanced monotonically.
-              std::size_t g = static_cast<std::size_t>(
-                  std::upper_bound(off.begin(), off.end(),
-                                   static_cast<std::uint32_t>(r0)) -
-                  off.begin()) - 1;
-              for (std::size_t r = r0; r < r1; ++r) {
-                while (r >= off[g + 1]) ++g;
-                const float* wg = vw.data() + g * d * dc;
-                if (simd::gemm_rows(va.data(), d, wg, dc, y.data(), r,
-                                    r + 1)) {
-                  continue;
-                }
-                const float* arow = va.data() + r * d;
-                float* crow = y.data() + r * dc;
-                for (std::size_t k = 0; k < d; ++k) {
-                  const float aik = arow[k];
-                  if (aik == 0.0f) continue;
-                  const float* wrow = wg + k * dc;
-                  for (std::size_t j = 0; j < dc; ++j) {
-                    crow[j] += aik * wrow[j];
-                  }
-                }
-              }
-            });
-        break;
-      }
     }
   }
   ran_forward_ = true;
@@ -801,104 +667,6 @@ void Executor::backward(TensorId loss) {
         const float dx =
             in.f1 * in.f0 * (s - 1.0f) + (1.0f - in.f0) * s;
         grads_[in.a].at(0, 0) += dy.at(0, 0) * dx;
-        break;
-      }
-      case Op::kSegmentMeanRows: {
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        Matrix& da = grads_[in.a];
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const float inv = 1.0f / static_cast<float>(off[g + 1] - off[g]);
-          for (std::size_t r = off[g]; r < off[g + 1]; ++r) {
-            for (std::size_t c = 0; c < da.cols(); ++c) {
-              da.at(r, c) += dy.at(g, c) * inv;
-            }
-          }
-        }
-        break;
-      }
-      case Op::kSegmentFrobeniusNormalize: {
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const Matrix& va = value_of(in.a);
-        Matrix& da = grads_[in.a];
-        const std::size_t d = dy.cols();
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const float norm = seg_scratch_[i][g];
-          if (norm == 0.0f) continue;
-          const float inv = 1.0f / norm;
-          const std::size_t base = off[g] * d;
-          const std::size_t count = (off[g + 1] - off[g]) * d;
-          double dot = 0.0;
-          for (std::size_t k = 0; k < count; ++k) {
-            dot += static_cast<double>(dy.data()[base + k]) *
-                   va.data()[base + k];
-          }
-          const float kf = static_cast<float>(dot) * inv * inv * inv;
-          for (std::size_t k = 0; k < count; ++k) {
-            da.data()[base + k] +=
-                dy.data()[base + k] * inv - va.data()[base + k] * kf;
-          }
-        }
-        break;
-      }
-      case Op::kSegmentMatmulAtB: {
-        // Per segment, Y_g = A_gᵀ·B_g: dA_g += B_g·dY_gᵀ ; dB_g += A_g·dY_g.
-        const Matrix& va = value_of(in.a);
-        const Matrix& vb = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const std::size_t dac = va.cols(), dbc = vb.cols();
-        const bool rga = rg(in.a), rgb = rg(in.b);
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          for (std::size_t k = off[g]; k < off[g + 1]; ++k) {
-            for (std::size_t ci = 0; ci < dac; ++ci) {
-              const std::size_t yr = g * dac + ci;
-              if (rga) {
-                double acc = 0.0;
-                for (std::size_t j = 0; j < dbc; ++j) {
-                  acc += static_cast<double>(vb.at(k, j)) * dy.at(yr, j);
-                }
-                grads_[in.a].at(k, ci) += static_cast<float>(acc);
-              }
-              if (rgb) {
-                const float aki = va.at(k, ci);
-                if (aki == 0.0f) continue;
-                for (std::size_t j = 0; j < dbc; ++j) {
-                  grads_[in.b].at(k, j) += aki * dy.at(yr, j);
-                }
-              }
-            }
-          }
-        }
-        break;
-      }
-      case Op::kSegmentBlockMatmul: {
-        // Row r (segment g): Y[r,:] = A[r,:]·W_g, so
-        // dA[r,:] += dY[r,:]·W_gᵀ ; dW_g += A_gᵀ·dY_g.
-        const Matrix& va = value_of(in.a);
-        const Matrix& vw = value_of(in.b);
-        const std::vector<std::uint32_t>& off = prog_->segments(in.u0);
-        const std::size_t d = va.cols(), dc = vw.cols();
-        const bool rga = rg(in.a), rgw = rg(in.b);
-        for (std::size_t g = 0; g + 1 < off.size(); ++g) {
-          const std::size_t wbase = g * d;
-          for (std::size_t r = off[g]; r < off[g + 1]; ++r) {
-            for (std::size_t k = 0; k < d; ++k) {
-              if (rga) {
-                double acc = 0.0;
-                for (std::size_t j = 0; j < dc; ++j) {
-                  acc += static_cast<double>(dy.at(r, j)) * vw.at(wbase + k, j);
-                }
-                grads_[in.a].at(r, k) += static_cast<float>(acc);
-              }
-              if (rgw) {
-                const float ark = va.at(r, k);
-                if (ark == 0.0f) continue;
-                for (std::size_t j = 0; j < dc; ++j) {
-                  grads_[in.b].at(wbase + k, j) += ark * dy.at(r, j);
-                }
-              }
-            }
-          }
-        }
         break;
       }
     }

@@ -1,6 +1,5 @@
 #include "nn/models.hpp"
 
-#include <cassert>
 #include <cmath>
 
 #include "audit/verify_program.hpp"
@@ -12,30 +11,14 @@ namespace {
 /// IR verifier and proves the planned workspace alias-safe before the
 /// first forward() — a corrupted or mis-recorded model is an AuditError
 /// here, not a wrong probability downstream.
-std::unique_ptr<Executor> make_verified_executor(const Program& prog,
-                                                 ExecMode mode) {
+std::unique_ptr<Executor> make_verified_executor(const Program& prog) {
   audit::verify_program_or_throw(prog,
                                  "audit::verify_program(InferenceSession)");
-  auto exec = std::make_unique<Executor>(prog, mode);
+  auto exec = std::make_unique<Executor>(prog, ExecMode::kInference);
   audit::verify_workspace_plan_or_throw(
       prog, exec->plan_snapshot(),
       "audit::verify_workspace_plan(InferenceSession)");
   return exec;
-}
-
-/// N×1 column whose rows of segment g all hold 1/N_g — the per-segment
-/// counterpart of LinearAttention::forward's scalar `inv_n`. Applied via
-/// row_mul it performs the same single float multiply as the per-graph
-/// kScale, so the packed attention stays bitwise equal per graph.
-Matrix segment_inv_count_column(const std::vector<std::uint32_t>& offsets) {
-  Matrix m(offsets.back(), 1);
-  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
-    const float inv = 1.0f / static_cast<float>(offsets[g + 1] - offsets[g]);
-    for (std::uint32_t r = offsets[g]; r < offsets[g + 1]; ++r) {
-      m.at(r, 0) = inv;
-    }
-  }
-  return m;
 }
 
 }  // namespace
@@ -98,66 +81,6 @@ GraphBatch GraphBatch::build(const CnfFormula& f) {
   return b;
 }
 
-PackedGraphs PackedGraphs::build(const std::vector<const GraphBatch*>& graphs) {
-  assert(!graphs.empty());
-  PackedGraphs p;
-  p.num_graphs = graphs.size();
-  p.var_offsets.reserve(graphs.size() + 1);
-  p.clause_offsets.reserve(graphs.size() + 1);
-  p.lit_offsets.reserve(graphs.size() + 1);
-  p.lclause_offsets.reserve(graphs.size() + 1);
-  p.var_offsets.push_back(0);
-  p.clause_offsets.push_back(0);
-  p.lit_offsets.push_back(0);
-  p.lclause_offsets.push_back(0);
-
-  std::vector<const SparseMatrix*> svc, scv, avc, acv, mlc, mcl;
-  for (const GraphBatch* g : graphs) {
-    assert(g != nullptr);
-    assert(g->vc.num_vars > 0 && g->vc.num_clauses > 0 &&
-           g->lc.num_lits > 0 && g->lc.num_clauses > 0);
-    p.var_offsets.push_back(
-        p.var_offsets.back() + static_cast<std::uint32_t>(g->vc.num_vars));
-    p.clause_offsets.push_back(
-        p.clause_offsets.back() +
-        static_cast<std::uint32_t>(g->vc.num_clauses));
-    p.lit_offsets.push_back(
-        p.lit_offsets.back() + static_cast<std::uint32_t>(g->lc.num_lits));
-    p.lclause_offsets.push_back(
-        p.lclause_offsets.back() +
-        static_cast<std::uint32_t>(g->lc.num_clauses));
-    svc.push_back(&g->vc.svc);
-    scv.push_back(&g->vc.scv);
-    avc.push_back(&g->vc.avc);
-    acv.push_back(&g->vc.acv);
-    mlc.push_back(&g->lc.mlc);
-    mcl.push_back(&g->lc.mcl);
-  }
-
-  p.packed.vc.num_vars = p.var_offsets.back();
-  p.packed.vc.num_clauses = p.clause_offsets.back();
-  // The per-graph svc/scv are already mean-normalized; block-diagonal
-  // concatenation copies their values verbatim, so the packed operators
-  // are exactly the normalized blocks (no renormalization).
-  p.packed.vc.svc = SparseMatrix::block_diagonal(svc);
-  p.packed.vc.scv = SparseMatrix::block_diagonal(scv);
-  p.packed.vc.avc = SparseMatrix::block_diagonal(avc);
-  p.packed.vc.acv = SparseMatrix::block_diagonal(acv);
-
-  p.packed.lc.num_lits = p.lit_offsets.back();
-  p.packed.lc.num_clauses = p.lclause_offsets.back();
-  p.packed.lc.mlc = SparseMatrix::block_diagonal(mlc);
-  p.packed.lc.mcl = SparseMatrix::block_diagonal(mcl);
-  p.packed.lc.flip.reserve(p.lit_offsets.back());
-  for (std::size_t g = 0; g < graphs.size(); ++g) {
-    const std::uint32_t base = p.lit_offsets[g];
-    for (std::uint32_t f : graphs[g]->lc.flip) {
-      p.packed.lc.flip.push_back(base + f);
-    }
-  }
-  return p;
-}
-
 // ---------------------------------------------------------------------------
 // SatClassifier
 // ---------------------------------------------------------------------------
@@ -173,34 +96,13 @@ float SatClassifier::predict_probability(const GraphBatch& g) {
 
 InferenceSession::InferenceSession(SatClassifier& model, const GraphBatch& g)
     : logit_(model.forward_logit(tape_, g)),
-      exec_(make_verified_executor(tape_.program(), ExecMode::kInference)) {}
+      exec_(make_verified_executor(tape_.program())) {}
 
 // NS_HOT(per-query inference entry point: one planned forward per predict)
 float InferenceSession::predict_probability() {
   exec_->forward();
   const float x = exec_->value(logit_).at(0, 0);
   return 1.0f / (1.0f + std::exp(-x));
-}
-
-// ---------------------------------------------------------------------------
-// BatchedInferenceSession
-// ---------------------------------------------------------------------------
-
-BatchedInferenceSession::BatchedInferenceSession(SatClassifier& model,
-                                                 const PackedGraphs& p)
-    : logits_(model.forward_logit_batch(tape_, p)),
-      exec_(make_verified_executor(tape_.program(), ExecMode::kInference)),
-      probs_(p.num_graphs, 0.0f) {}
-
-// NS_HOT(batched inference entry point: one block-diagonal forward per round)
-const std::vector<float>& BatchedInferenceSession::predict_probabilities() {
-  exec_->forward();
-  const Matrix& logits = exec_->value(logits_);
-  for (std::size_t g = 0; g < probs_.size(); ++g) {
-    const float x = logits.at(g, 0);
-    probs_[g] = 1.0f / (1.0f + std::exp(-x));
-  }
-  return probs_;
 }
 
 // ---------------------------------------------------------------------------
@@ -270,32 +172,6 @@ TensorId LinearAttention::forward(Tape& tape, TensorId z) {
   return tape.row_mul(attn, d_inv);
 }
 
-TensorId LinearAttention::forward_segmented(
-    Tape& tape, TensorId z, SegmentsId seg,
-    const std::vector<std::uint32_t>& offsets) {
-  const std::size_t n = tape.rows(z);
-
-  const TensorId q =
-      tape.segment_frobenius_normalize(fq_.forward(tape, z), seg);
-  const TensorId k =
-      tape.segment_frobenius_normalize(fk_.forward(tape, z), seg);
-  const TensorId v = fv_.forward(tape, z);
-
-  // Per segment g: D_g = diag(1 + (1/N_g) Q̃_g (K̃_gᵀ·1)), stacked N×1.
-  const TensorId ones = tape.constant(Matrix::ones(n, 1));
-  const TensorId invn = tape.constant(segment_inv_count_column(offsets));
-  const TensorId kt1 = tape.segment_matmul_at_b(k, ones, seg);  // (B·d)×1
-  const TensorId qk1 = tape.segment_block_matmul(q, kt1, seg);  // N×1
-  const TensorId d = tape.add_scalar(tape.row_mul(qk1, invn), 1.0f);
-  const TensorId d_inv = tape.reciprocal(d);
-
-  // Z_out,g = D_g⁻¹ [ V_g + (1/N_g) Q̃_g (K̃_gᵀ V_g) ].
-  const TensorId kv = tape.segment_matmul_at_b(k, v, seg);      // (B·d)×d
-  const TensorId qkv = tape.segment_block_matmul(q, kv, seg);   // N×d
-  const TensorId attn = tape.add(v, tape.row_mul(qkv, invn));
-  return tape.row_mul(attn, d_inv);
-}
-
 void LinearAttention::collect_parameters(std::vector<Parameter*>& out) {
   fq_.collect_parameters(out);
   fk_.collect_parameters(out);
@@ -330,22 +206,6 @@ std::pair<TensorId, TensorId> HgtLayer::forward(Tape& tape,
     // counterpart of SGFormer's GNN+attention combination.
     const TensorId gate = tape.param(&attention_gate_);
     xv = tape.add(tape.scalar_mul(attention_.forward(tape, xv), gate), xv);
-  }
-  return {xv, xc};
-}
-
-std::pair<TensorId, TensorId> HgtLayer::forward_packed(
-    Tape& tape, const VcGraphTensors& g, TensorId xv, TensorId xc,
-    SegmentsId vseg, const std::vector<std::uint32_t>& var_offsets) {
-  for (MpnnLayer& layer : mpnn_) {
-    std::tie(xv, xc) = layer.forward(tape, g, xv, xc);
-  }
-  if (use_attention_) {
-    const TensorId gate = tape.param(&attention_gate_);
-    xv = tape.add(
-        tape.scalar_mul(
-            attention_.forward_segmented(tape, xv, vseg, var_offsets), gate),
-        xv);
   }
   return {xv, xc};
 }
@@ -386,23 +246,6 @@ TensorId NeuroSelectModel::forward_logit(Tape& tape, const GraphBatch& g) {
   }
   // Eq. 10: READOUT over variable-node embeddings only.
   const TensorId pooled = tape.mean_rows(xv);
-  return head_.forward(tape, pooled);
-}
-
-TensorId NeuroSelectModel::forward_logit_batch(Tape& tape,
-                                               const PackedGraphs& p) {
-  const SegmentsId vseg = tape.add_segments(p.var_offsets);
-  TensorId xv =
-      tape.broadcast_row(tape.param(&var_embed_), p.packed.vc.num_vars);
-  TensorId xc =
-      tape.broadcast_row(tape.param(&clause_embed_), p.packed.vc.num_clauses);
-  for (HgtLayer& layer : layers_) {
-    std::tie(xv, xc) =
-        layer.forward_packed(tape, p.packed.vc, xv, xc, vseg, p.var_offsets);
-  }
-  // Per-graph READOUT (Eq. 10): one pooled row per segment; the MLP head
-  // then works row-wise, yielding the B×1 logit column.
-  const TensorId pooled = tape.segment_mean_rows(xv, vseg);
   return head_.forward(tape, pooled);
 }
 
@@ -448,27 +291,6 @@ TensorId GinModel::forward_logit(Tape& tape, const GraphBatch& g) {
   }
   const TensorId pooled =
       tape.concat_cols(tape.mean_rows(xv), tape.mean_rows(xc));
-  return head_.forward(tape, pooled);
-}
-
-TensorId GinModel::forward_logit_batch(Tape& tape, const PackedGraphs& p) {
-  const SegmentsId vseg = tape.add_segments(p.var_offsets);
-  const SegmentsId cseg = tape.add_segments(p.clause_offsets);
-  TensorId xv =
-      tape.broadcast_row(tape.param(&var_embed_), p.packed.vc.num_vars);
-  TensorId xc =
-      tape.broadcast_row(tape.param(&clause_embed_), p.packed.vc.num_clauses);
-  for (GinLayer& layer : layers_) {
-    const TensorId aggv = tape.spmm(&p.packed.vc.avc, xc);
-    const TensorId aggc = tape.spmm(&p.packed.vc.acv, xv);
-    const TensorId hv = layer.var_mlp.forward(tape, tape.add(xv, aggv));
-    const TensorId hc = layer.clause_mlp.forward(tape, tape.add(xc, aggc));
-    xv = tape.relu(hv);
-    xc = tape.relu(hc);
-  }
-  const TensorId pooled =
-      tape.concat_cols(tape.segment_mean_rows(xv, vseg),
-                       tape.segment_mean_rows(xc, cseg));
   return head_.forward(tape, pooled);
 }
 
@@ -525,36 +347,6 @@ TensorId NeuroSatModel::forward_logit(Tape& tape, const GraphBatch& g) {
         tape, tape.concat_cols(to_lit, flipped), lit_state);
   }
   const TensorId pooled = tape.mean_rows(lit_state.h);
-  return head_.forward(tape, pooled);
-}
-
-TensorId NeuroSatModel::forward_logit_batch(Tape& tape,
-                                            const PackedGraphs& p) {
-  const SegmentsId lseg = tape.add_segments(p.lit_offsets);
-  const std::size_t n_lits = p.packed.lc.num_lits;
-  const std::size_t n_clauses = p.packed.lc.num_clauses;
-  const std::size_t d = lit_update_.hidden_dim();
-
-  LstmCell::State lit_state{
-      tape.broadcast_row(tape.param(&lit_embed_), n_lits),
-      tape.constant(Matrix::zeros(n_lits, d))};
-  LstmCell::State clause_state{
-      tape.broadcast_row(tape.param(&clause_embed_), n_clauses),
-      tape.constant(Matrix::zeros(n_clauses, d))};
-
-  for (std::size_t round = 0; round < rounds_; ++round) {
-    const TensorId to_clause =
-        tape.spmm(&p.packed.lc.mcl, lit_msg_.forward(tape, lit_state.h));
-    clause_state = clause_update_.forward(tape, to_clause, clause_state);
-    // The packed flip permutation pairs each literal with its negation
-    // inside its own block, so rows never cross graph boundaries.
-    const TensorId to_lit =
-        tape.spmm(&p.packed.lc.mlc, clause_msg_.forward(tape, clause_state.h));
-    const TensorId flipped = tape.permute_rows(lit_state.h, p.packed.lc.flip);
-    lit_state = lit_update_.forward(
-        tape, tape.concat_cols(to_lit, flipped), lit_state);
-  }
-  const TensorId pooled = tape.segment_mean_rows(lit_state.h, lseg);
   return head_.forward(tape, pooled);
 }
 

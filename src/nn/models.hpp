@@ -57,40 +57,18 @@ struct GraphBatch {
   static GraphBatch build(const CnfFormula& f);
 };
 
-/// A whole batch of instances packed into one block-diagonal `GraphBatch`
-/// (DESIGN.md §13): graph g owns the contiguous row ranges
-/// `[var_offsets[g], var_offsets[g+1])` etc. of the stacked node matrices,
-/// and every sparse operator is the block-diagonal concatenation of the
-/// per-graph operators, so one recorded program evaluates the entire batch.
-/// Ragged batches are the normal case; every graph must be non-empty.
-struct PackedGraphs {
-  GraphBatch packed;
-  std::size_t num_graphs = 0;
-  std::vector<std::uint32_t> var_offsets;      ///< size num_graphs+1
-  std::vector<std::uint32_t> clause_offsets;   ///< vc-graph clause rows
-  std::vector<std::uint32_t> lit_offsets;      ///< lc-graph literal rows
-  std::vector<std::uint32_t> lclause_offsets;  ///< lc-graph clause rows
-
-  /// Packs the graphs in order. The inputs must outlive nothing — all
-  /// operators are copied into the block-diagonal matrices.
-  static PackedGraphs build(const std::vector<const GraphBatch*>& graphs);
-};
-
 /// Common interface of the Table-2 classifiers. The logit is for the
 /// positive class "the frequency-guided deletion policy wins" (label 1).
+/// A classifier always sees one instance at a time: training records one
+/// program per graph, and batch inference (`core::classify_batch`) runs one
+/// session per graph in parallel. Recording only reads the parameters, so
+/// concurrent sessions over one model are safe while nothing trains it.
 class SatClassifier : public Module {
  public:
   virtual std::string_view name() const = 0;
 
   /// Records the forward pass on `tape` and returns the (1×1) logit.
   virtual TensorId forward_logit(Tape& tape, const GraphBatch& g) = 0;
-
-  /// Records the batched forward over a packed batch and returns the (B×1)
-  /// column of logits. Row g is bitwise equal to the logit `forward_logit`
-  /// produces for graph g alone, at any thread count: the packed program
-  /// runs the same float operations in the same order per graph, with
-  /// per-graph readout and normalization handled by the segmented ops.
-  virtual TensorId forward_logit_batch(Tape& tape, const PackedGraphs& p) = 0;
 
   /// Inference convenience: P(label == 1). Records once and runs an
   /// inference-mode executor (no gradient storage, planned workspace); for
@@ -120,32 +98,6 @@ class InferenceSession {
   std::unique_ptr<Executor> exec_;
 };
 
-/// The batched counterpart of `InferenceSession`: records one classifier's
-/// forward over a `PackedGraphs` once and re-executes it against a planned
-/// inference workspace. One `predict_probabilities()` call evaluates the
-/// whole batch through a single program execution — thread-level
-/// parallelism lives inside the big GEMM/SpMM kernels, not across graphs —
-/// and performs zero heap allocations per call after construction. The
-/// model and `p` must outlive the session.
-class BatchedInferenceSession {
- public:
-  BatchedInferenceSession(SatClassifier& model, const PackedGraphs& p);
-
-  /// P(label == 1) per graph, in batch order; bitwise equal to the
-  /// per-graph `predict_probability` results. The reference stays valid
-  /// until the next call.
-  const std::vector<float>& predict_probabilities();
-
-  const Program& program() const { return tape_.program(); }
-  const Executor& executor() const { return *exec_; }
-
- private:
-  Tape tape_;
-  TensorId logits_;
-  std::unique_ptr<Executor> exec_;
-  std::vector<float> probs_;
-};
-
 /// One message-passing layer over the bipartite graph (Eqs. 6–7). The MLPs
 /// of the equations are single linear layers, as in the paper.
 class MpnnLayer : public Module {
@@ -173,13 +125,6 @@ class LinearAttention : public Module {
 
   TensorId forward(Tape& tape, TensorId z);
 
-  /// Batched attention over a row-stacked `z`: each segment of `seg` (one
-  /// graph's variable rows) attends only within itself, replaying the exact
-  /// float sequence of `forward` on that graph. `offsets` must be the
-  /// vector `seg` was built from (used for the per-segment 1/N column).
-  TensorId forward_segmented(Tape& tape, TensorId z, SegmentsId seg,
-                             const std::vector<std::uint32_t>& offsets);
-
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
@@ -196,13 +141,6 @@ class HgtLayer : public Module {
 
   std::pair<TensorId, TensorId> forward(Tape& tape, const VcGraphTensors& g,
                                         TensorId xv, TensorId xc);
-
-  /// `forward` over a block-diagonally packed graph: the MPNN stack runs
-  /// unchanged (the packed operators make it per-graph by construction) and
-  /// the attention block goes through `forward_segmented`.
-  std::pair<TensorId, TensorId> forward_packed(
-      Tape& tape, const VcGraphTensors& g, TensorId xv, TensorId xc,
-      SegmentsId vseg, const std::vector<std::uint32_t>& var_offsets);
 
   void collect_parameters(std::vector<Parameter*>& out) override;
 
@@ -231,7 +169,6 @@ class NeuroSelectModel final : public SatClassifier {
     return config_.use_attention ? "NeuroSelect" : "NeuroSelect-w/o-attention";
   }
   TensorId forward_logit(Tape& tape, const GraphBatch& g) override;
-  TensorId forward_logit_batch(Tape& tape, const PackedGraphs& p) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
   const NeuroSelectConfig& config() const { return config_; }
@@ -251,7 +188,6 @@ class GinModel final : public SatClassifier {
 
   std::string_view name() const override { return "G4SATBench-GIN"; }
   TensorId forward_logit(Tape& tape, const GraphBatch& g) override;
-  TensorId forward_logit_batch(Tape& tape, const PackedGraphs& p) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:
@@ -272,7 +208,6 @@ class NeuroSatModel final : public SatClassifier {
 
   std::string_view name() const override { return "NeuroSAT"; }
   TensorId forward_logit(Tape& tape, const GraphBatch& g) override;
-  TensorId forward_logit_batch(Tape& tape, const PackedGraphs& p) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
  private:

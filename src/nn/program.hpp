@@ -50,15 +50,6 @@ struct TensorId {
   bool valid() const { return idx >= 0; }
 };
 
-/// Handle to a segment-offset vector registered on a Program. Segments
-/// partition the rows of a block-diagonally packed tensor into its
-/// per-graph blocks: offsets [o_0=0, o_1, ..., o_B=N], strictly
-/// increasing, so graph g owns rows [o_g, o_{g+1}) (DESIGN.md §13).
-struct SegmentsId {
-  std::int32_t idx = -1;
-  bool valid() const { return idx >= 0; }
-};
-
 /// Opcode of one recorded instruction.
 enum class Op : std::uint8_t {
   kConstant,
@@ -85,10 +76,6 @@ enum class Op : std::uint8_t {
   kSliceCols,
   kPermuteRows,
   kBceWithLogits,
-  kSegmentMeanRows,
-  kSegmentFrobeniusNormalize,
-  kSegmentMatmulAtB,
-  kSegmentBlockMatmul,
 };
 
 /// Printable opcode name (diagnostics and tests).
@@ -105,7 +92,7 @@ struct Inst {
   std::uint32_t cols = 0;
   float f0 = 0.0f;  ///< scale factor / add_scalar addend / BCE target
   float f1 = 0.0f;  ///< BCE pos_weight
-  std::uint32_t u0 = 0;  ///< literal/perm/segments pool index / slice start / broadcast n
+  std::uint32_t u0 = 0;  ///< literal/perm pool index / slice start / broadcast n
   std::uint32_t u1 = 0;  ///< slice length
   Parameter* param = nullptr;            ///< kParam binding (live, not copied)
   const SparseMatrix* sparse = nullptr;  ///< kSpmm operator; must outlive runs
@@ -177,33 +164,6 @@ class Program {
   /// Y[i] = X[perm[i]]; `perm` must be a permutation of the row indices.
   TensorId permute_rows(TensorId a, std::vector<std::uint32_t> perm);
 
-  // --- segmented ops (block-diagonal batched inference, DESIGN.md §13) ---
-  /// Registers a segment-offset vector [0, o_1, ..., N] (strictly
-  /// increasing) partitioning packed rows into per-graph blocks. The same
-  /// handle is shared by every segmented op over tensors with that row
-  /// partition.
-  SegmentsId add_segments(std::vector<std::uint32_t> offsets);
-
-  /// Per-segment column mean: (N×d, B segments) → (B×d); output row g is
-  /// mean_rows of rows [o_g, o_{g+1}). The batched READOUT of Eq. 10 —
-  /// bitwise equal, segment by segment, to per-graph mean_rows.
-  TensorId segment_mean_rows(TensorId a, SegmentsId seg);
-
-  /// Per-segment Frobenius normalization: each block of rows is divided by
-  /// its own ‖·‖_F (Eq. 8's Q̃/K̃, batched). (N×d) → (N×d).
-  TensorId segment_frobenius_normalize(TensorId a, SegmentsId seg);
-
-  /// Per-segment AᵀB, stacked: (A N×da, B N×db) → (B·da)×db where output
-  /// block g (rows [g·da, (g+1)·da)) is A_gᵀ·B_g. The batched K̃ᵀV / K̃ᵀ1
-  /// of Eq. 9.
-  TensorId segment_matmul_at_b(TensorId a, TensorId b, SegmentsId seg);
-
-  /// Row-blockwise matmul against stacked square-ish blocks: (A N×d,
-  /// W (B·d)×dc) → N×dc where output row r (in segment g) is
-  /// A[r,:]·W_g. Applies the per-graph d×dc factors produced by
-  /// segment_matmul_at_b back to every packed row (the Q̃(K̃ᵀV) of Eq. 9).
-  TensorId segment_block_matmul(TensorId a, TensorId blocks, SegmentsId seg);
-
   // --- losses -----------------------------------------------------------
   /// Numerically stable binary cross-entropy on a (1×1) logit (Eq. 11).
   /// `pos_weight` scales the positive-class term (class rebalancing):
@@ -229,12 +189,8 @@ class Program {
   const std::vector<std::uint32_t>& perm(std::size_t pool_idx) const {
     return perms_[pool_idx];
   }
-  const std::vector<std::uint32_t>& segments(std::size_t pool_idx) const {
-    return segments_[pool_idx];
-  }
   std::size_t num_literals() const { return literals_.size(); }
   std::size_t num_perms() const { return perms_.size(); }
-  std::size_t num_segments() const { return segments_.size(); }
 
   /// Mutable access to a recorded instruction. Exists solely so audit
   /// fault-injection tests can corrupt a program in place; production code
@@ -250,14 +206,9 @@ class Program {
   const Inst& operand(const char* op, TensorId id) const;
   TensorId push(Inst inst);
 
-  /// Validates a segments handle; returns its offsets.
-  const std::vector<std::uint32_t>& segment_operand(const char* op,
-                                                    SegmentsId seg) const;
-
   std::vector<Inst> insts_;
   std::vector<Matrix> literals_;
   std::vector<std::vector<std::uint32_t>> perms_;
-  std::vector<std::vector<std::uint32_t>> segments_;
 };
 
 }  // namespace ns::nn

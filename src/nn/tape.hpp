@@ -96,23 +96,6 @@ class Tape {
     return rec(prog_.permute_rows(a, std::move(perm)));
   }
 
-  // --- segmented ops (block-diagonal batched inference, DESIGN.md §13) ---
-  SegmentsId add_segments(std::vector<std::uint32_t> offsets) {
-    return prog_.add_segments(std::move(offsets));
-  }
-  TensorId segment_mean_rows(TensorId a, SegmentsId seg) {
-    return rec(prog_.segment_mean_rows(a, seg));
-  }
-  TensorId segment_frobenius_normalize(TensorId a, SegmentsId seg) {
-    return rec(prog_.segment_frobenius_normalize(a, seg));
-  }
-  TensorId segment_matmul_at_b(TensorId a, TensorId b, SegmentsId seg) {
-    return rec(prog_.segment_matmul_at_b(a, b, seg));
-  }
-  TensorId segment_block_matmul(TensorId a, TensorId blocks, SegmentsId seg) {
-    return rec(prog_.segment_block_matmul(a, blocks, seg));
-  }
-
   // --- losses -----------------------------------------------------------
   TensorId bce_with_logits(TensorId logit, float target,
                            float pos_weight = 1.0f) {

@@ -528,17 +528,6 @@ inline void replay_on_eager(const nn::Program& prog, EagerTape& eager) {
       case Op::kBceWithLogits:
         y = eager.bce_with_logits(a, in.f0, in.f1);
         break;
-      case Op::kSegmentMeanRows:
-      case Op::kSegmentFrobeniusNormalize:
-      case Op::kSegmentMatmulAtB:
-      case Op::kSegmentBlockMatmul:
-        // The segmented (block-diagonal batching) ops postdate the seed
-        // eager tape, so there is deliberately no eager reference: their
-        // parity oracle is the per-graph program path itself
-        // (test_nn_batched.cpp checks packed logits bitwise against it) and
-        // gradcheck covers backward numerically.
-        assert(!"segmented ops have no eager reference");
-        break;
     }
     assert(y.idx == static_cast<std::int32_t>(i));
     (void)y;

@@ -157,8 +157,15 @@ TEST(DimacsTest, RejectsDuplicateHeader) {
 }
 
 TEST(DimacsTest, RejectsOutOfRangeLiteral) {
-  const ParseResult r = parse_dimacs_string("p cnf 2 1\n3 0\n");
+  EXPECT_FALSE(parse_dimacs_string("p cnf 2 1\n3 0\n").ok);
+  // INT_MIN has no int negation; its magnitude must still compare safely.
+  EXPECT_FALSE(parse_dimacs_string("p cnf 2 1\n-2147483648 0\n").ok);
+}
+
+TEST(DimacsTest, RejectsVariableCountBeyondInt32) {
+  const ParseResult r = parse_dimacs_string("p cnf 3000000000 1\n1 0\n");
   EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.line, 1u);
 }
 
 TEST(DimacsTest, RejectsGarbageToken) {
