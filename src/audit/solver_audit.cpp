@@ -211,8 +211,18 @@ std::vector<Violation> check_trail(const SearchContext& ctx) {
     if (idx.ok) check_reason_of(ctx, idx, l, out);
   }
 
+  // Per-literal values: a variable's two slots are both kUndef or exact
+  // negations (negate maps kUndef to itself, so one comparison covers
+  // both). Either slot defined counts the variable as assigned.
   for (Var v = 0; v < ctx.num_vars; ++v) {
-    if (trail.value(v) != LBool::kUndef && !on_trail[v]) {
+    const LBool pos = trail.value(Lit(v, false));
+    const LBool neg = trail.value(Lit(v, true));
+    if (neg != negate(pos)) {
+      add(out, "trail.value", static_cast<std::int64_t>(v),
+          "variable x" + std::to_string(v) +
+              " has literal value slots that are not negations");
+    }
+    if ((pos != LBool::kUndef || neg != LBool::kUndef) && !on_trail[v]) {
       add(out, "trail.dup", static_cast<std::int64_t>(v),
           "variable x" + std::to_string(v) +
               " is assigned but absent from the trail");

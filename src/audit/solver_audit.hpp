@@ -8,7 +8,9 @@
 /// Rule identifiers (Violation::rule):
 ///   trail.qhead        propagation cursor past the trail end
 ///   trail.frames       decision-level frame offsets not monotone / in range
-///   trail.value        a trail literal does not evaluate true
+///   trail.value        a trail literal does not evaluate true, or a
+///                      variable's two literal slots are not both undef
+///                      nor exact negations
 ///   trail.level        a variable's stored level disagrees with its frame
 ///   trail.dup          assigned variable missing from the trail, or twice
 ///   trail.decision     a level's first assignment carries a reason

@@ -69,16 +69,18 @@ float Matrix::sum() const {
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(a.cols() == b.rows());
   assert(c.rows() == a.rows() && c.cols() == b.cols());
-  c.fill(0.0f);
   for_each_output_row(
       a.rows(), a.rows() * a.cols() * b.cols(),
       [&](std::size_t r0, std::size_t r1) {
+        // The vector kernel overwrites every C row it owns; only the scalar
+        // fallback accumulates and so clears its own rows first.
         if (simd::gemm_rows(a.data(), a.cols(), b.data(), b.cols(), c.data(),
                             r0, r1)) {
           return;
         }
         for (std::size_t i = r0; i < r1; ++i) {
           float* crow = c.data() + i * c.cols();
+          std::fill(crow, crow + c.cols(), 0.0f);
           for (std::size_t k = 0; k < a.cols(); ++k) {
             const float aik = a.at(i, k);
             if (aik == 0.0f) continue;

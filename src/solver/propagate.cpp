@@ -64,14 +64,11 @@ ClauseRef Propagator::propagate() {
   // the value array is sized once at reset() and BCP never allocates
   // clauses, so holding raw pointers in locals spares every lookup the
   // ctx_ -> vector -> data pointer chase (the compiler cannot hoist those
-  // loads itself past the watch stores).
+  // loads itself past the watch stores). Values are per literal, so each
+  // lookup is one byte load with no polarity branch.
   const LBool* const values = trail.values_data();
   std::uint32_t* const arena = ctx_.db.raw();
-  const auto lit_value = [values](Lit l) -> LBool {
-    const LBool v = values[l.var()];
-    if (v == LBool::kUndef) return v;
-    return l.negated() ? negate(v) : v;
-  };
+  const auto lit_value = [values](Lit l) -> LBool { return values[l.code()]; };
   // Tick counters stay in registers for the whole pass; flushed on exit.
   std::uint64_t ticks = 0, ticks_binary = 0;
   const auto flush = [&] {

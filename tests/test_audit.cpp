@@ -160,6 +160,16 @@ TEST(TrailAudit, AssignedVariableAbsentFromTrail) {
   EXPECT_TRUE(has_rule(out, "trail.dup")) << rules_of(out);
 }
 
+TEST(TrailAudit, LiteralSlotsDisagree) {
+  Rig rig(2);
+  rig.ctx.trail.push_level();
+  rig.ctx.enqueue(L(1), kInvalidClause);
+  // x0 and ~x0 both true: the slots are no longer negations.
+  (*rig.ctx.trail.debug_access().values)[L(-1).code()] = LBool::kTrue;
+  const auto out = check_trail(rig.ctx);
+  EXPECT_TRUE(has_rule(out, "trail.value")) << rules_of(out);
+}
+
 TEST(TrailAudit, DecisionCarriesReason) {
   Rig rig(2);
   const ClauseRef c = rig.add_clause({1, 2});

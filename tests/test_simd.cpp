@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -107,10 +109,26 @@ TEST_F(SimdKernelsTest, AxpyMatchesScalar) {
 
 TEST_F(SimdKernelsTest, GemmRowsMatchesScalar) {
   if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
+  // Zero-skip contract: a zero A entry (either sign) contributes nothing,
+  // not even the inf/NaN its B row would turn into NaN under 0 * x.
+  constexpr std::size_t kZeroRow = 1, kPoisonCol = 2;
+  const float kPoison[] = {std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN()};
   for (const std::size_t bcols : kSizes) {
-    const std::size_t rows = 3, acols = 5;
-    const std::vector<float> a = random_data(rows * acols, 7u + bcols);
-    const std::vector<float> b = random_data(acols * bcols, 31u + bcols);
+    const std::size_t rows = 4, acols = 5;
+    std::vector<float> a = random_data(rows * acols, 7u + bcols);
+    std::vector<float> b = random_data(acols * bcols, 31u + bcols);
+    for (std::size_t k = 0; k < acols; ++k) {
+      a[kZeroRow * acols + k] = (k % 2 == 0) ? -0.0f : 0.0f;
+    }
+    for (std::size_t i = 0; i < rows; ++i) {
+      a[i * acols + kPoisonCol] = (i % 2 == 0) ? 0.0f : -0.0f;
+    }
+    a[3 * acols + 4] = -0.0f;  // a lone negative zero in a live row
+    for (std::size_t j = 0; j < bcols; ++j) {
+      b[kPoisonCol * bcols + j] = kPoison[j % 3];
+    }
     std::vector<float> c_simd(rows * bcols, -1.0f);
     std::vector<float> c_ref(rows * bcols, -1.0f);
 
@@ -134,6 +152,14 @@ TEST_F(SimdKernelsTest, GemmRowsMatchesScalar) {
     }
 
     expect_bitwise_equal(c_simd, c_ref, "gemm_rows", bcols);
+    for (std::size_t j = 0; j < bcols; ++j) {
+      EXPECT_EQ(bits(c_simd[kZeroRow * bcols + j]), bits(0.0f))
+          << "all-zero A row must give +0.0f at column " << j;
+    }
+    for (std::size_t idx = 0; idx < c_simd.size(); ++idx) {
+      EXPECT_TRUE(std::isfinite(c_simd[idx]))
+          << "poisoned B row leaked through a zero A entry at " << idx;
+    }
   }
 }
 

@@ -49,8 +49,17 @@
 /// Output follows SAT-competition conventions: a "s SATISFIABLE" /
 /// "s UNSATISFIABLE" / "s UNKNOWN" status line, "v" model lines on SAT,
 /// and "c" comment lines with statistics. On UNKNOWN the JSON stats carry
-/// a "why" field naming the exhausted budget. Exit code: 10 SAT, 20 UNSAT,
-/// 0 unknown, 1 usage/parse error.
+/// a "why" field naming the exhausted budget. Every SAT model, from either
+/// the single engine or the portfolio race, is checked against the original
+/// parsed formula and the --assume literals before the status line is
+/// printed.
+///
+/// Exit codes:
+///   10  SAT (model checked)
+///   20  UNSAT
+///    0  unknown (budget exhausted)
+///    1  usage/parse error, audit failure, or a SAT model that fails its
+///       check ("c model check failed" on stderr; no status line)
 
 #include <cstdio>
 #include <cstdlib>
@@ -64,6 +73,7 @@
 #include "audit/race_audit.hpp"
 #include "audit/solver_audit.hpp"
 #include "cnf/dimacs.hpp"
+#include "cnf/formula.hpp"
 #include "nn/models.hpp"
 #include "nn/serialize.hpp"
 #include "portfolio/racer.hpp"
@@ -212,6 +222,30 @@ void write_race_json(std::FILE* f, const ns::portfolio::PortfolioRacer& racer,
     std::fprintf(f, "      }%s\n", i + 1 < race.engines.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }\n}\n");
+}
+
+/// Checks a SAT model against the original formula and every assumption,
+/// then prints the status and model lines. Returns the process exit code:
+/// 10 when the model checks, 1 (and no status line) when it does not.
+int report_sat(const ns::CnfFormula& formula, const ns::Model& model,
+               const std::vector<Lit>& assumptions, bool quiet) {
+  bool ok = model.size() >= formula.num_vars() && formula.satisfied_by(model);
+  for (const Lit a : assumptions) {
+    ok = ok && model[a.var()] != a.negated();
+  }
+  if (!ok) {
+    std::fprintf(stderr, "c model check failed\n");
+    return 1;
+  }
+  std::printf("s SATISFIABLE\n");
+  if (!quiet) {
+    std::printf("v");
+    for (std::size_t v = 0; v < formula.num_vars(); ++v) {
+      std::printf(" %s%zu", model[v] ? "" : "-", v + 1);
+    }
+    std::printf(" 0\n");
+  }
+  return 10;
 }
 
 }  // namespace
@@ -406,17 +440,8 @@ int main(int argc, char** argv) {
       if (jf != stdout) std::fclose(jf);
     }
     switch (race.result) {
-      case ns::solver::SatResult::kSat: {
-        std::printf("s SATISFIABLE\n");
-        if (!quiet) {
-          std::printf("v");
-          for (std::size_t v = 0; v < parsed.formula.num_vars(); ++v) {
-            std::printf(" %s%zu", race.model[v] ? "" : "-", v + 1);
-          }
-          std::printf(" 0\n");
-        }
-        return 10;
-      }
+      case ns::solver::SatResult::kSat:
+        return report_sat(parsed.formula, race.model, assumptions, quiet);
       case ns::solver::SatResult::kUnsat:
         if (!assumptions.empty()) {
           std::printf("c core");
@@ -509,17 +534,8 @@ int main(int argc, char** argv) {
     if (jf != stdout) std::fclose(jf);
   }
   switch (out.result) {
-    case ns::solver::SatResult::kSat: {
-      std::printf("s SATISFIABLE\n");
-      if (!quiet) {
-        std::printf("v");
-        for (std::size_t v = 0; v < parsed.formula.num_vars(); ++v) {
-          std::printf(" %s%zu", out.model[v] ? "" : "-", v + 1);
-        }
-        std::printf(" 0\n");
-      }
-      return 10;
-    }
+    case ns::solver::SatResult::kSat:
+      return report_sat(parsed.formula, out.model, assumptions, quiet);
     case ns::solver::SatResult::kUnsat:
       if (!assumptions.empty()) {
         // Failed assumption core: a subset of --assume whose conjunction
