@@ -167,21 +167,19 @@ std::size_t run_hot_path_trajectory() {
                 best_ms, static_cast<unsigned long long>(ticks), mticks_s);
   }
   // Incremental query streams: 100 assumption queries against one loaded
-  // engine (decision heuristics and learned clauses stay warm), eager GC
-  // vs deferred GC compacting at a 30% dead fraction. The same stream
-  // solved with throwaway engines is the baseline the incremental API is
-  // meant to beat.
+  // engine (decision heuristics and learned clauses stay warm; the arena
+  // compacts at ClauseDb::kGarbageFrac dead). The same stream solved with
+  // throwaway engines is the baseline the incremental API is meant to
+  // beat.
   std::printf("=== incremental query stream (100 queries, best of 3) ===\n");
   const ns::CnfFormula sf = ns::gen::random_ksat(150, 630, 3, 21);
   struct Mode {
     const char* name;
-    double gc_frac;
     bool fresh_per_query;
   };
   const Mode modes[] = {
-      {"stream100_eager", 0.0, false},
-      {"stream100_gc", 0.3, false},
-      {"stream100_fresh", 0.0, true},
+      {"stream100_gc", false},
+      {"stream100_fresh", true},
   };
   for (const Mode& m : modes) {
     double best_ms = 1e300;
@@ -191,7 +189,6 @@ std::size_t run_hot_path_trajectory() {
       ns::solver::SolverOptions opts;
       opts.reduce_interval = 10;
       opts.reduce_interval_inc = 0;
-      opts.gc_frac = m.gc_frac;
       const auto t0 = std::chrono::steady_clock::now();
       ns::solver::Solver engine{opts};
       if (!m.fresh_per_query) engine.load(sf);

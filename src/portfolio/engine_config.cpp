@@ -41,12 +41,11 @@ EngineConfigRegistry EngineConfigRegistry::default_portfolio(
     o.deletion_policy = policy::PolicyKind::kFrequency;
     reg.add("luby-frequency", o);
   }
-  if (want > 5) {  // id 5: VMTF + frequency + deferred GC (long-race friendly)
+  if (want > 5) {  // id 5: VMTF + frequency deletion
     solver::SolverOptions o = base;
     o.decision_mode = solver::DecisionMode::kVmtf;
     o.deletion_policy = policy::PolicyKind::kFrequency;
-    o.gc_frac = 0.3;
-    reg.add("vmtf-frequency-gc", o);
+    reg.add("vmtf-frequency", o);
   }
   return reg;
 }

@@ -179,7 +179,7 @@ RaceResult PortfolioRacer::run_race(bool all,
         eng.set_budget({.conflicts = 0,
                         .propagations = 0,
                         .ticks = options_.slice_ticks});
-        lane.last = eng.solve_with_assumptions(assumptions);
+        lane.last = eng.solve(assumptions);
         ++lane.rec.slices;
         accumulate(lane.rec.stats, lane.last.stats);
 

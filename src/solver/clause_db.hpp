@@ -18,10 +18,10 @@
 /// Garbage collection is a compacting copy: callers first mark clauses
 /// garbage, then run `garbage_collect`, then remap every stored ClauseRef
 /// through the returned forwarding table. Compaction also squeezes out any
-/// shrink slack (copied clauses get extent == size). `check_garbage(frac)`
-/// is the trigger predicate for deferred collection: it fires once the
-/// dead fraction of the arena reaches `frac`, so long-lived incremental
-/// engines can batch many deletions into one relocation pass.
+/// shrink slack (copied clauses get extent == size). `check_garbage()` is
+/// the collection trigger: it fires once the dead fraction of the arena
+/// reaches `kGarbageFrac`, so many reductions batch into one relocation
+/// pass (MiniSat's `garbage_frac` / `checkGarbage`).
 
 #include <bit>
 #include <cassert>
@@ -198,18 +198,6 @@ class ClauseDb {
   std::size_t arena_words() const { return data_.size(); }
   std::size_t garbage_words() const { return garbage_words_; }
 
-  /// Visits every live clause reference in arena order (mutable views).
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    std::size_t off = 0;
-    while (off < data_.size()) {
-      const std::uint32_t extent = data_[off + 1];
-      ClauseView c(data_.data() + off);
-      if (!c.garbage()) fn(static_cast<ClauseRef>(off), c);
-      off += kHeaderWords + extent;
-    }
-  }
-
   /// Visits every live clause reference in arena order (read-only views).
   template <typename Fn>
   void for_each(Fn&& fn) const {
@@ -244,13 +232,16 @@ class ClauseDb {
   /// collection.
   void garbage_collect();
 
+  /// Dead fraction of the arena at which the solver collects.
+  static constexpr double kGarbageFrac = 0.3;
+
   /// True once the dead fraction of the arena (garbage clauses plus shrink
-  /// slack) has reached `frac` — the deferred-GC trigger predicate. Never
+  /// slack) has reached `kGarbageFrac` — the collection trigger. Never
   /// fires on an all-live arena.
-  bool check_garbage(double frac) const {
+  bool check_garbage() const {
     return garbage_words_ > 0 &&
            static_cast<double>(garbage_words_) >=
-               frac * static_cast<double>(data_.size());
+               kGarbageFrac * static_cast<double>(data_.size());
   }
 
   /// Remaps an old reference after garbage_collect().

@@ -76,7 +76,7 @@ struct SearchContext {
   /// the learned list — through the forwarding table. Reasons of current
   /// assignments are never garbage (reduce skips them), so their forwards
   /// must exist; learned entries that died are dropped, order preserved.
-  /// Watch lists are the Propagator's to fix (rebuild or remap_watches).
+  /// Watch lists are the Propagator's to fix (remap_watches).
   void remap_after_gc() {
     for (std::size_t i = 0; i < trail.size(); ++i) {
       const Var v = trail[i].var();

@@ -53,15 +53,6 @@ struct SolverOptions {
   /// subsumption; see simplify.hpp) before the search.
   bool preprocess = false;
 
-  // --- clause-arena garbage collection --------------------------------------
-  /// 0 (default): eager — every reduce pass compacts the arena and rebuilds
-  /// the watch lists immediately (the single-shot golden-trajectory path).
-  /// > 0: deferred — reduce only detaches and marks deleted clauses; the
-  /// solver batches them into one compacting collection (with in-place,
-  /// order-preserving watch remapping) once the dead fraction of the arena
-  /// reaches this value. Long-lived incremental engines want ~0.2–0.5.
-  double gc_frac = 0.0;
-
   // --- budgets (the "timeout" proxy; 0 = unlimited) -------------------------
   // Lifetime budgets, checked against cumulative counters. Per-query
   // budgets for incremental use are set via Solver::set_budget instead.

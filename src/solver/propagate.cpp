@@ -29,14 +29,6 @@ void Propagator::detach(ClauseRef ref) {
   }
 }
 
-void Propagator::rebuild() {
-  watches_.clear_lists();
-  ctx_.db.for_each([this](ClauseRef ref, ClauseView c) {
-    (void)c;
-    attach(ref);
-  });
-}
-
 void Propagator::remap_watches(const ClauseDb& db) {
   const std::size_t lists = watches_.num_lists();
   for (std::size_t code = 0; code < lists; ++code) {

@@ -23,17 +23,13 @@ class Propagator {
   /// Removes a clause from the two lists watching it, preserving the order
   /// of the remaining entries. Must be called while the clause's literals
   /// are still intact (i.e. before or after mark_garbage, but before the
-  /// arena is compacted). Deferred GC detaches at deletion time so garbage
+  /// arena is compacted). Reduce detaches at deletion time so garbage
   /// clauses are never watched.
   void detach(ClauseRef ref);
 
-  /// Rebuilds every watch list from the live clauses in the arena
-  /// (after clause-DB garbage collection moved clauses around).
-  void rebuild();
-
-  /// In-place alternative to rebuild() after `db.garbage_collect()`:
-  /// rewrites each watch entry's clause reference through the forwarding
-  /// table, keeping list order, blockers, and binary tags untouched.
+  /// Watch-list fixup after `db.garbage_collect()`: rewrites each watch
+  /// entry's clause reference through the forwarding table, keeping list
+  /// order, blockers, and binary tags untouched.
   /// Entries whose clause died map to kInvalidClause and are dropped
   /// (order-preserving). Because relocation is monotone and lists are not
   /// reordered, BCP visits watches in exactly the pre-collection order —

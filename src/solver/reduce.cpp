@@ -85,34 +85,24 @@ void ReduceScheduler::reduce(Propagator& propagator) {
             });
   const std::size_t to_delete = static_cast<std::size_t>(
       opt.reduce_fraction * static_cast<double>(candidates.size()));
-  const bool deferred = opt.gc_frac > 0.0;
   for (std::size_t i = 0; i < to_delete; ++i) {
     const ClauseRef ref = candidates[i].ref;
     if (ctx_.proof != nullptr) {
       ClauseView c = db.view(ref);
       ctx_.proof->on_delete(std::span<const Lit>(c.begin(), c.end()));
     }
-    if (deferred) propagator.detach(ref);
+    propagator.detach(ref);
     db.mark_garbage(ref);
     ++stats.deleted_clauses;
   }
 
-  if (deferred) {
-    // Deferred collection: the dead clauses stay in the arena (detached
-    // from the watch lists above) until the solver's check_garbage trigger
-    // batches them into one compacting pass. The learned list must shed
-    // them now — ns::audit's db.learned_refs invariant requires it to
-    // track exactly the live learned clauses.
-    std::erase_if(ctx_.learned, [&db](ClauseRef ref) {
-      return db.view(ref).garbage();
-    });
-  } else {
-    // Eager collection: compact immediately, then remap references held
-    // outside the arena (reasons, learned list) and rebuild the watches.
-    db.garbage_collect();
-    ctx_.remap_after_gc();
-    propagator.rebuild();
-  }
+  // The dead clauses stay in the arena (detached from the watch lists
+  // above) until the solver's check_garbage trigger batches them into one
+  // compacting pass. The learned list must shed them now — ns::audit's
+  // db.learned_refs invariant requires it to track exactly the live
+  // learned clauses.
+  std::erase_if(ctx_.learned,
+                [&db](ClauseRef ref) { return db.view(ref).garbage(); });
 
   // Restart the Eq. 2 window. (The whole-run histogram, when anyone wants
   // it, is accumulated by a PropagationHistogram listener instead.)

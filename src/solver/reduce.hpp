@@ -1,10 +1,10 @@
 #pragma once
 /// \file reduce.hpp
 /// The clause-database reduction subsystem: owns the pluggable
-/// `policy::DeletionPolicy` (the paper's contribution point), the reduce
-/// schedule, and the garbage-collection pass — scoring learned clauses,
-/// deleting the worst fraction, compacting the arena, remapping reasons,
-/// and rebuilding the watch lists.
+/// `policy::DeletionPolicy` (the paper's contribution point) and the reduce
+/// schedule — scoring learned clauses, then detaching the worst fraction
+/// from the watch lists and marking them garbage. The solver compacts the
+/// arena later, once `ClauseDb::check_garbage()` fires.
 
 #include <cstdint>
 #include <memory>
@@ -27,8 +27,8 @@ class ReduceScheduler {
     return ctx_.stats.conflicts >= next_reduce_conflicts_;
   }
 
-  /// Runs one reduction pass; `propagator` rebuilds its watch lists after
-  /// the arena compaction moved clauses.
+  /// Runs one reduction pass; `propagator` drops the watches of every
+  /// deleted clause.
   void reduce(Propagator& propagator);
 
  private:

@@ -135,13 +135,6 @@ void Solver::extract_model() {
   }
 }
 
-SolveOutcome Solver::solve() { return solve_with_assumptions({}); }
-
-SolveOutcome Solver::solve(const std::vector<Lit>& assumptions) {
-  return solve_with_assumptions(
-      std::span<const Lit>(assumptions.data(), assumptions.size()));
-}
-
 bool Solver::add_clause(std::span<const Lit> lits) {
   assert(state_ == EngineState::kAdding);
   assert(ctx_.proof == nullptr);  // added clauses are outside the DRAT input
@@ -235,8 +228,7 @@ SolveOutcome Solver::finish_query(SolveOutcome out) {
   return out;
 }
 
-SolveOutcome Solver::solve_with_assumptions(
-    std::span<const Lit> assumptions) {
+SolveOutcome Solver::solve(std::span<const Lit> assumptions) {
   Trail& trail = ctx_.trail;
   Statistics& stats = ctx_.stats;
 
@@ -261,9 +253,9 @@ SolveOutcome Solver::solve_with_assumptions(
     out.result = SatResult::kUnsat;
     return finish_query(std::move(out));
   }
-  // Deferred garbage from a previous query's reductions may already sit
-  // over the threshold; reclaim before searching again.
-  if (options_.gc_frac > 0.0 && ctx_.db.check_garbage(options_.gc_frac)) {
+  // Garbage from a previous query's reductions may already sit over the
+  // threshold; reclaim before searching again.
+  if (ctx_.db.check_garbage()) {
     garbage_collect_now("audit::gc(query)");
   }
 
@@ -317,10 +309,9 @@ SolveOutcome Solver::solve_with_assumptions(
         if constexpr (audit::kCheckLevel >= 1) {
           audit_subsystems("audit::reduce");
         }
-        // Deferred mode: reduce only detached + marked; compact once the
-        // dead fraction crosses the threshold.
-        if (options_.gc_frac > 0.0 &&
-            ctx_.db.check_garbage(options_.gc_frac)) {
+        // Reduce only detached + marked; compact once the dead fraction
+        // crosses the threshold.
+        if (ctx_.db.check_garbage()) {
           garbage_collect_now("audit::gc(reduce)");
         }
       }

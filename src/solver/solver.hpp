@@ -97,20 +97,14 @@ class Solver {
   /// Resets the solver and loads `formula`.
   void load(const CnfFormula& formula);
 
-  /// Runs the CDCL search until SAT/UNSAT or a budget expires.
-  SolveOutcome solve();
-
-  /// Incremental interface: solves under the conjunction of `assumptions`.
-  SolveOutcome solve(const std::vector<Lit>& assumptions);
-
-  /// Incremental interface: solves under the conjunction of `assumptions`
-  /// (literals decided before any free decision). On kUnsat, the outcome's
-  /// `core` (also `failed_assumptions()`) holds a subset of the assumptions
-  /// whose conjunction with the formula is already unsatisfiable (the
-  /// "failed core"; empty when the formula is unsatisfiable on its own).
-  /// The solver can be re-invoked with different assumptions without
-  /// reloading.
-  SolveOutcome solve_with_assumptions(std::span<const Lit> assumptions);
+  /// Runs the CDCL search until SAT/UNSAT or a budget expires, under the
+  /// conjunction of `assumptions` (literals decided before any free
+  /// decision; none by default). On kUnsat, the outcome's `core` (also
+  /// `failed_assumptions()`) holds a subset of the assumptions whose
+  /// conjunction with the formula is already unsatisfiable (the "failed
+  /// core"; empty when the formula is unsatisfiable on its own). The solver
+  /// can be re-invoked with different assumptions without reloading.
+  SolveOutcome solve(std::span<const Lit> assumptions = {});
 
   /// Adds a clause between queries (legal only in the ADDING state). The
   /// engine backtracks to root, folds in root-level assignments, and
@@ -132,7 +126,7 @@ class Solver {
   /// Racing contract (see DESIGN.md §15): the flag is a plain relaxed
   /// atomic, so it is safe in every engine state — before load(), before
   /// the first solve() after load (the query returns immediately with
-  /// kInterrupted), and concurrent with deferred clause-arena GC (the
+  /// kInterrupted), and concurrent with clause-arena GC (the
   /// collector never reads the flag; the next stop_reason() checkpoint
   /// after the collection observes it). A cancelled query's outcome always
   /// carries `SolveOutcome::why == StopReason::kInterrupted`.
@@ -159,15 +153,15 @@ class Solver {
   /// Forces a compacting clause-arena collection now (legal only in the
   /// ADDING state): compacts the ClauseDb, remaps trail reasons and the
   /// learned list, and rewrites the watch lists in place (order-preserving,
-  /// so the search trajectory is unaffected). With `gc_frac > 0` the solver
-  /// triggers this automatically once the dead fraction of the arena
-  /// reaches the threshold; forcing it is for tests and memory pressure.
+  /// so the search trajectory is unaffected). The solver triggers this
+  /// automatically once the dead fraction of the arena reaches
+  /// `ClauseDb::kGarbageFrac`; forcing it is for tests and memory pressure.
   void garbage_collect();
 
   /// Current lifecycle state.
   EngineState state() const { return state_; }
 
-  /// Failed core of the last kUnsat solve_with_assumptions() call.
+  /// Failed core of the last kUnsat solve() call under assumptions.
   const std::vector<Lit>& failed_assumptions() const {
     return failed_assumptions_;
   }

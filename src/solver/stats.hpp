@@ -63,7 +63,7 @@ struct Statistics {
 
   // --- incremental lifecycle --------------------------------------------
   std::uint64_t queries = 0;              ///< solve() calls since load
-  std::uint64_t garbage_collections = 0;  ///< deferred arena compactions
+  std::uint64_t garbage_collections = 0;  ///< clause-arena compactions
 
   // --- binary-vs-long propagation split ---------------------------------
   // Watch visits and BCP enqueues broken down by clause class. The splits

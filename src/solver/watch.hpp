@@ -7,9 +7,8 @@
 /// block that outgrows its capacity is relocated to the end of the slab
 /// (geometric growth), leaving a dead hole behind; `maybe_defrag` compacts
 /// the slab once dead entries dominate. Compared to the classic
-/// vector-of-vectors layout this removes one pointer chase per list, keeps
-/// hot lists adjacent in memory, and lets a full rebuild reuse one
-/// allocation.
+/// vector-of-vectors layout this removes one pointer chase per list and
+/// keeps hot lists adjacent in memory.
 ///
 /// Binary clauses are specialized in the watch entry itself (the Kissat
 /// hot-path move): the entry's `blocker` is the *other* literal of the
@@ -49,14 +48,6 @@ class WatcherArena {
  public:
   void reset(std::size_t num_lits) {
     heads_.assign(num_lits, Head{});
-    slab_.clear();
-    dead_ = 0;
-  }
-
-  /// Empties every list but keeps the literal count; the next pushes
-  /// rebuild the slab compactly (used by watch reconstruction after GC).
-  void clear_lists() {
-    for (Head& h : heads_) h = Head{};
     slab_.clear();
     dead_ = 0;
   }

@@ -19,7 +19,7 @@ TEST(AssumptionsTest, SatUnderCompatibleAssumptions) {
   Solver s{SolverOptions{}};
   s.load(f);
   const Lit a[] = {Lit(0, false)};
-  const SolveOutcome out = s.solve_with_assumptions(a);
+  const SolveOutcome out = s.solve(a);
   ASSERT_EQ(out.result, SatResult::kSat);
   EXPECT_TRUE(out.model[0]);
 }
@@ -31,7 +31,7 @@ TEST(AssumptionsTest, UnsatUnderContradictoryAssumptions) {
   Solver s{SolverOptions{}};
   s.load(f);
   const Lit a[] = {Lit(0, false), Lit(1, true)};
-  const SolveOutcome out = s.solve_with_assumptions(a);
+  const SolveOutcome out = s.solve(a);
   ASSERT_EQ(out.result, SatResult::kUnsat);
   // Both assumptions participate in the conflict.
   const auto& core = s.failed_assumptions();
@@ -49,7 +49,7 @@ TEST(AssumptionsTest, FailedCoreIsSubsetAndSufficient) {
   Solver s{SolverOptions{}};
   s.load(f);
   const Lit a[] = {Lit(5, false), Lit(0, false), Lit(2, true), Lit(6, false)};
-  const SolveOutcome out = s.solve_with_assumptions(a);
+  const SolveOutcome out = s.solve(a);
   ASSERT_EQ(out.result, SatResult::kUnsat);
   const std::vector<Lit> core = s.failed_assumptions();
   // Irrelevant assumptions x5, x6 must not be in the core.
@@ -61,7 +61,7 @@ TEST(AssumptionsTest, FailedCoreIsSubsetAndSufficient) {
   // The core alone must still be UNSAT.
   Solver s2{SolverOptions{}};
   s2.load(f);
-  EXPECT_EQ(s2.solve_with_assumptions(core).result, SatResult::kUnsat);
+  EXPECT_EQ(s2.solve(core).result, SatResult::kUnsat);
 }
 
 TEST(AssumptionsTest, GloballyUnsatFormulaGivesEmptyCore) {
@@ -69,7 +69,7 @@ TEST(AssumptionsTest, GloballyUnsatFormulaGivesEmptyCore) {
   Solver s{SolverOptions{}};
   s.load(f);
   const Lit a[] = {Lit(0, false)};
-  const SolveOutcome out = s.solve_with_assumptions(a);
+  const SolveOutcome out = s.solve(a);
   ASSERT_EQ(out.result, SatResult::kUnsat);
   // The formula is UNSAT regardless; the core never needs the assumption —
   // either empty (root conflict) or it may mention the assumption if the
@@ -90,11 +90,11 @@ TEST(AssumptionsTest, IncrementalReuseAcrossCalls) {
   // Vertex 0 gets exactly one colour in any model; forcing two colours on
   // vertex 0 simultaneously is UNSAT (at-most-one constraints).
   const Lit two_colors[] = {Lit(0, false), Lit(1, false)};
-  EXPECT_EQ(s.solve_with_assumptions(two_colors).result, SatResult::kUnsat);
+  EXPECT_EQ(s.solve(two_colors).result, SatResult::kUnsat);
 
   // Forcing just one specific colour stays SAT (symmetry).
   const Lit one_color[] = {Lit(1, false)};
-  const SolveOutcome forced = s.solve_with_assumptions(one_color);
+  const SolveOutcome forced = s.solve(one_color);
   ASSERT_EQ(forced.result, SatResult::kSat);
   EXPECT_TRUE(forced.model[1]);
   EXPECT_TRUE(f.satisfied_by(forced.model));
@@ -111,7 +111,7 @@ TEST(AssumptionsTest, AssumptionsAlreadyImpliedAreHarmless) {
   Solver s{SolverOptions{}};
   s.load(f);
   const Lit a[] = {Lit(0, false), Lit(1, false)};
-  const SolveOutcome out = s.solve_with_assumptions(a);
+  const SolveOutcome out = s.solve(a);
   ASSERT_EQ(out.result, SatResult::kSat);
   EXPECT_TRUE(out.model[0]);
   EXPECT_TRUE(out.model[1]);
@@ -132,7 +132,7 @@ TEST(AssumptionsTest, MiterDebuggingWorkflow) {
   // by miter_cnf they are variables 2..7.
   std::vector<Lit> zeros;
   for (Var v = 2; v <= 7; ++v) zeros.push_back(Lit(v, true));
-  EXPECT_EQ(s.solve_with_assumptions(zeros).result, SatResult::kUnsat);
+  EXPECT_EQ(s.solve(zeros).result, SatResult::kUnsat);
   EXPECT_FALSE(s.failed_assumptions().empty());
 }
 

@@ -1,9 +1,9 @@
 /// Incremental-engine suite: differential agreement with fresh single-shot
 /// solvers, multi-query stats semantics, clause addition between queries,
-/// budgets/interrupt, and clause-DB garbage collection (deferred and
-/// forced) — including the 100-query assumption stream the ISSUE pins:
-/// zero audit violations with at least one mid-stream collection that
-/// reclaims >= 20% of the clause arena.
+/// budgets/interrupt, and clause-DB garbage collection (threshold-triggered
+/// and forced) — including a 100-query assumption stream with zero audit
+/// violations and at least one mid-stream collection that reclaims >= 20%
+/// of the clause arena.
 
 #include <gtest/gtest.h>
 
@@ -111,14 +111,13 @@ TEST(IncrementalTest, RepeatedEmptySolveIsIdempotent) {
 
 TEST(IncrementalTest, ForcedGcIsTrajectoryTransparent) {
   // Two engines, identical query stream; one is force-collected after
-  // every query. gc_frac = 0.999 defers deletions indefinitely, so engine
-  // `b` really compacts accumulated garbage mid-stream — and every
-  // per-query counter must still match engine `a` bit for bit.
+  // every query, so engine `b` compacts garbage that engine `a` keeps until
+  // its own threshold fires — and every per-query counter must still match
+  // engine `a` bit for bit.
   const CnfFormula f = gen::random_ksat(90, 385, 3, 13);
   SolverOptions options;
   options.reduce_interval = 30;
   options.restart_interval = 16;
-  options.gc_frac = 0.999;
   Solver a{options};
   Solver b{options};
   a.load(f);
@@ -141,19 +140,18 @@ TEST(IncrementalTest, ForcedGcIsTrajectoryTransparent) {
 }
 
 TEST(IncrementalTest, HundredQueryStreamWithMidStreamGc) {
-  // The ISSUE's acceptance stream: 100 assumption queries over one loaded
-  // formula, deferred GC, and a mid-stream collection reclaiming >= 20% of
-  // the clause arena — with zero audit violations (the NS_CHECK=2 build
-  // audits every assignment; any build re-checks all invariants below).
-  // Near the phase transition with a SAT/UNSAT-mixed assumption stream
-  // (~half each); a dense reduce schedule keeps deleting clauses so
-  // deferred garbage builds well past the 20% reclaim target.
+  // 100 assumption queries over one loaded formula and a forced
+  // mid-stream collection reclaiming >= 20% of the clause arena — with zero
+  // audit violations (the NS_CHECK=2 build audits every assignment; any
+  // build re-checks all invariants below). Near the phase transition with
+  // a SAT/UNSAT-mixed assumption stream (~half each); a dense reduce
+  // schedule keeps deleting clauses, so some query ends with garbage past
+  // the 20% reclaim target but still under ClauseDb::kGarbageFrac.
   const CnfFormula f = gen::random_ksat(150, 630, 3, 21);
   SolverOptions options;
   options.reduce_interval = 10;
   options.reduce_interval_inc = 0;
   options.restart_interval = 16;
-  options.gc_frac = 0.999;  // defer: let garbage build up past 20%
   Solver s{options};
   s.load(f);
 
@@ -199,6 +197,25 @@ TEST(IncrementalTest, HundredQueryStreamWithMidStreamGc) {
   // Full subsystem-boundary audit, independent of the build's NS_CHECK.
   audit::check_engine_or_throw(s.context(), s.propagator(),
                                s.decider().audit_view(), "test::stream");
+}
+
+TEST(IncrementalTest, SingleShotSolveCollectsAtGarbageThreshold) {
+  // One plain solve with default options: reduce only marks clauses dead,
+  // and the engine compacts the arena each time the dead fraction reaches
+  // ClauseDb::kGarbageFrac, so it never ends a solve at or past it.
+  SolverOptions options;
+  options.reduce_interval = 20;
+  Solver s{options};
+  s.load(gen::pigeonhole(8, 7));
+  ASSERT_EQ(s.solve().result, SatResult::kUnsat);
+  EXPECT_GE(s.stats().reductions, 2u);
+  EXPECT_GE(s.stats().garbage_collections, 1u);
+
+  const ClauseDb& db = s.context().db;
+  EXPECT_LT(static_cast<double>(db.garbage_words()),
+            ClauseDb::kGarbageFrac * static_cast<double>(db.arena_words()));
+  audit::check_engine_or_throw(s.context(), s.propagator(),
+                               s.decider().audit_view(), "test::single-shot");
 }
 
 TEST(IncrementalTest, CoreIsSubsetAndUnsatWhenReasserted) {

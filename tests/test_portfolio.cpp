@@ -292,14 +292,13 @@ TEST(RacingInterruptTest, InterruptBeforeFirstSolveReturnsImmediately) {
 }
 
 TEST(RacingInterruptTest, InterruptConcurrentWithDeferredGcIsSafe) {
-  // An interrupt storm runs against an engine whose deferred clause-arena
-  // collections fire mid-stream (gc_frac). Cancelled queries must always
+  // An interrupt storm runs against an engine whose clause-arena
+  // collections fire mid-stream. Cancelled queries must always
   // carry kInterrupted, the engine must stay usable, and TSan must see no
   // race between the collector and the flag.
   solver::SolverOptions options;
   options.reduce_interval = 20;
   options.restart_interval = 16;
-  options.gc_frac = 0.2;
   solver::Solver engine{options};
   engine.load(gen::pigeonhole(8, 7));
   engine.set_budget({.conflicts = 0, .propagations = 0, .ticks = 2'000});

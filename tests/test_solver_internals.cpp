@@ -95,7 +95,7 @@ TEST(ClauseDbTest, ForEachSkipsGarbage) {
   db.add(lits({5, 6}), false, 0);
   db.mark_garbage(b);
   std::size_t live = 0;
-  db.for_each([&](ClauseRef, ClauseView) { ++live; });
+  db.for_each([&](ClauseRef, ConstClauseView) { ++live; });
   EXPECT_EQ(live, 2u);
 }
 
@@ -138,7 +138,7 @@ TEST(ClauseDbTest, ForEachStridesOverShrunkClauses) {
   const ClauseRef b = db.add(lits({-1, -2, -3}), true, 2);
   db.shrink(a, 2);
   std::vector<ClauseRef> seen;
-  db.for_each([&](ClauseRef ref, ClauseView) { seen.push_back(ref); });
+  db.for_each([&](ClauseRef ref, ConstClauseView) { seen.push_back(ref); });
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], a);
   EXPECT_EQ(seen[1], b);

@@ -13,9 +13,6 @@
 ///     --budget-conflicts <n>       per-query conflict budget (0 = unlimited)
 ///     --budget-propagations <n>    per-query propagation budget
 ///     --budget-ticks <n>           per-query tick budget
-///     --gc-frac <f>                deferred clause-DB garbage collection
-///                                  once the dead arena fraction reaches f
-///                                  (0 = eager collection at each reduce)
 ///     --max-conflicts <n>          lifetime conflict budget (0 = unlimited)
 ///     --max-propagations <n>       lifetime propagation budget (0 = unlimited)
 ///     --preprocess                 root-level simplification before search
@@ -89,7 +86,7 @@ void usage(const char* prog) {
   std::fprintf(stderr,
                "usage: %s [--policy default|frequency] [--alpha f] [--preprocess] "
                "[--proof file] [--assume \"l1 l2 ...\"] [--budget-conflicts n] "
-               "[--budget-propagations n] [--budget-ticks n] [--gc-frac f] "
+               "[--budget-propagations n] [--budget-ticks n] "
                "[--max-conflicts n] [--max-propagations n] "
                "[--vmtf] [--luby] [--portfolio k] "
                "[--portfolio-select classifier|fixed|single-best] "
@@ -297,8 +294,6 @@ int main(int argc, char** argv) {
       budget.propagations = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--budget-ticks") {
       budget.ticks = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--gc-frac") {
-      options.gc_frac = std::atof(next());
     } else if (arg == "--max-conflicts") {
       options.max_conflicts = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--max-propagations") {
