@@ -4,7 +4,9 @@
 /// SAT-competition instances: 'c' comment lines, one 'p cnf V C' header,
 /// whitespace-separated signed literals terminated by 0 (clauses may span
 /// lines). Errors are reported via ParseResult rather than exceptions so
-/// callers can surface file/line diagnostics.
+/// callers can surface file/line diagnostics. All three entry points run
+/// one reader: a single character scan over the whole input held in one
+/// buffer (the stream and file forms read their input to the end first).
 
 #include <cstddef>
 #include <iosfwd>

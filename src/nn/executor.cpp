@@ -316,7 +316,7 @@ void Executor::forward() {
         const Matrix& vr = value_of(in.a);
         Matrix& y = out_of(i);
         for (std::size_t r = 0; r < y.rows(); ++r) {
-          for (std::size_t c = 0; c < y.cols(); ++c) y.at(r, c) = vr.at(0, c);
+          std::copy(vr.data(), vr.data() + y.cols(), y.data() + r * y.cols());
         }
         break;
       }

@@ -5,7 +5,11 @@ namespace {
 
 bool detect_cpu() {
 #if defined(NS_SIMD_X86)
-#if defined(__FMA__)
+#if defined(NS_SIMD_MASKED)
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl");
+#elif defined(__FMA__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
   return __builtin_cpu_supports("avx2");

@@ -1,9 +1,9 @@
 #pragma once
 /// \file kernels_simd.hpp
 /// Runtime-dispatched SIMD microkernels for the dense inner loops of the
-/// nn stack (DESIGN.md §13): GEMM row panels, axpy (the SpMM/AᵀB inner
-/// update), and the executor's elementwise ops (relu, add, bias-add, row
-/// scaling, ...).
+/// nn stack (DESIGN.md §13): register-blocked GEMM, AᵀB and CSR SpMM row
+/// panels, axpy, and the executor's elementwise ops (relu, add, bias-add,
+/// row scaling, ...).
 ///
 /// NS_HOT(every kernel here is a dense inner loop under runtime ISA dispatch)
 ///
@@ -22,8 +22,12 @@
 ///
 /// Bitwise equality between the tiers is part of the contract, not a hope:
 ///  - Vectorization only runs *independent output elements* (the j lanes of
-///    an axpy / GEMM row) side by side; the per-element reduction over k
-///    stays in ascending order, so no float addition is reassociated.
+///    a GEMM row, several rows of a register block) side by side; the
+///    per-element reduction over k stays in ascending order, so no float
+///    addition is reassociated.
+///  - The scalar loops' zero skip (`if (a == 0.0f) continue;`) becomes the
+///    branch-free `madd_nz`, which leaves the accumulator bitwise unchanged
+///    where the A entry is ±0 and propagates NaN entries.
 ///  - Fused multiply-add is used if and only if the translation unit is
 ///    compiled with FMA available (`__FMA__`), which is exactly when the
 ///    compiler contracts the scalar loops' `y += a*x` to an fma as well.
@@ -45,6 +49,7 @@
 /// false.
 
 #include <cstddef>
+#include <cstdint>
 
 #if defined(NS_SIMD) && NS_SIMD
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -74,7 +79,8 @@ extern bool g_enabled;
 bool compiled_in();
 
 /// `compiled_in()` and the executing CPU supports the compiled tier
-/// (AVX2 — plus FMA when the build uses it — on x86; always on aarch64).
+/// (AVX2 — plus FMA, and AVX-512F/VL, when the build uses them — on x86;
+/// always on aarch64).
 bool available();
 
 /// Runtime toggle for tests and benches: `on && available()` becomes the
@@ -93,8 +99,14 @@ inline bool enabled() { return detail::g_enabled; }
 
 // One contraction mode per build (see file comment): with __FMA__ the
 // vector bodies fuse exactly like the compiler fuses the scalar loops;
-// without it both tiers round the multiply and the add separately.
-#if defined(__FMA__)
+// without it both tiers round the multiply and the add separately. The
+// zero-skip form is fixed per build the same way: with __AVX512VL__ (which
+// implies __FMA__) madd_nz skips zero lanes under a compare mask, otherwise
+// it neutralizes them with exact bit masks.
+#if defined(__AVX512VL__) && defined(__FMA__)
+#define NS_SIMD_MASKED 1
+#define NS_SIMD_TARGET "avx2,fma,avx512f,avx512vl"
+#elif defined(__FMA__)
 #define NS_SIMD_TARGET "avx2,fma"
 #else
 #define NS_SIMD_TARGET "avx2"
@@ -130,56 +142,194 @@ __attribute__((target(NS_SIMD_TARGET))) inline void axpy_vec(
   for (; j < n; ++j) y[j] = madd1(a, x[j], y[j]);
 }
 
+/// acc + a·b in the lanes where a != ±0, and acc unchanged where a == ±0:
+/// the scalar loops' `if (a == 0.0f) continue;` without the branch (a zero
+/// A entry contributes nothing, not even the NaN of 0·inf). A NaN lane of a
+/// compares unequal to zero and propagates, as in the scalar loop.
+__attribute__((target(NS_SIMD_TARGET))) inline __m256 madd_nz(__m256 a,
+                                                              __m256 b,
+                                                              __m256 acc) {
+#if defined(NS_SIMD_MASKED)
+  const __mmask8 live =
+      _mm256_cmp_ps_mask(a, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+  return _mm256_mask3_fmadd_ps(a, b, acc, live);
+#else
+  // Zero lanes become (-0)·(+0) = -0 exactly, and acc + (-0) == acc for
+  // every acc, -0 and NaN included (+0 there would turn an acc of -0
+  // into +0). The constant -0 is also the comparand (-0 == +0), which
+  // saves one of AVX2's 16 registers in a 3×32 block.
+  const __m256 neg0 = _mm256_set1_ps(-0.0f);
+  const __m256 zero = _mm256_cmp_ps(a, neg0, _CMP_EQ_OQ);
+  return madd(_mm256_or_ps(a, _mm256_and_ps(zero, neg0)),
+              _mm256_andnot_ps(zero, b), acc);
+#endif
+}
+
+inline float madd1_nz(float a, float b, float acc) {
+  return a == 0.0f ? acc : madd1(a, b, acc);
+}
+
+/// Rows [i, i+R) of C = A·B over a strided A (element (i, k) at
+/// a[i·a_row + k·a_k], k < kdim), so one body serves A·B and Aᵀ·B. R rows
+/// × 32 columns of accumulators (12 ymm at R = 3) stay in registers across
+/// the whole k loop, and each B load feeds R independent FMA chains. Every
+/// output element still sums its k terms in ascending order; rows and
+/// columns only run side by side.
+template <std::size_t R>
+__attribute__((target(NS_SIMD_TARGET))) inline void gemm_block(
+    const float* a, std::size_t a_row, std::size_t a_k, std::size_t kdim,
+    const float* b, std::size_t bcols, float* c, std::size_t i) {
+  std::size_t j = 0;
+  for (; j + 32 <= bcols; j += 32) {
+    __m256 acc[R][4];
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t q = 0; q < 4; ++q) acc[r][q] = _mm256_setzero_ps();
+    }
+    for (std::size_t k = 0; k < kdim; ++k) {
+      const float* bp = b + k * bcols + j;
+      for (std::size_t r = 0; r < R; ++r) {
+        const __m256 va = _mm256_set1_ps(a[(i + r) * a_row + k * a_k]);
+        for (std::size_t q = 0; q < 4; ++q) {
+          acc[r][q] = madd_nz(va, _mm256_loadu_ps(bp + 8 * q), acc[r][q]);
+        }
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      for (std::size_t q = 0; q < 4; ++q) {
+        _mm256_storeu_ps(c + (i + r) * bcols + j + 8 * q, acc[r][q]);
+      }
+    }
+  }
+  for (; j + 8 <= bcols; j += 8) {
+    __m256 acc[R];
+    for (std::size_t r = 0; r < R; ++r) acc[r] = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < kdim; ++k) {
+      const __m256 vb = _mm256_loadu_ps(b + k * bcols + j);
+      for (std::size_t r = 0; r < R; ++r) {
+        acc[r] = madd_nz(_mm256_set1_ps(a[(i + r) * a_row + k * a_k]), vb,
+                         acc[r]);
+      }
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      _mm256_storeu_ps(c + (i + r) * bcols + j, acc[r]);
+    }
+  }
+  for (; j < bcols; ++j) {
+    for (std::size_t r = 0; r < R; ++r) {
+      float acc = 0.0f;
+      for (std::size_t k = 0; k < kdim; ++k) {
+        acc = madd1_nz(a[(i + r) * a_row + k * a_k], b[k * bcols + j], acc);
+      }
+      c[(i + r) * bcols + j] = acc;
+    }
+  }
+}
+
 __attribute__((target(NS_SIMD_TARGET))) inline void gemm_rows_vec(
     const float* a, std::size_t acols, const float* b, std::size_t bcols,
     float* c, std::size_t r0, std::size_t r1) {
-  for (std::size_t i = r0; i < r1; ++i) {
-    const float* arow = a + i * acols;
-    float* crow = c + i * bcols;
+  std::size_t i = r0;
+  // A single output column (the attention's Q̃·(K̃ᵀ·1), an MLP's logit
+  // layer): 8 rows share a vector, each lane gathering its own A row's
+  // k-th entry against one broadcast B entry.
+  if (bcols == 1 && acols <= (std::size_t{1} << 27)) {
+    const __m256i idx =
+        _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                           _mm256_set1_epi32(static_cast<int>(acols)));
+    for (; i + 8 <= r1; i += 8) {
+      const float* ap = a + i * acols;
+      __m256 acc = _mm256_setzero_ps();
+      for (std::size_t k = 0; k < acols; ++k) {
+        acc = madd_nz(_mm256_i32gather_ps(ap + k, idx, 4),
+                      _mm256_set1_ps(b[k]), acc);
+      }
+      _mm256_storeu_ps(c + i, acc);
+    }
+  }
+  for (; i + 3 <= r1; i += 3) gemm_block<3>(a, acols, 1, acols, b, bcols, c, i);
+  if (r1 - i == 2) gemm_block<2>(a, acols, 1, acols, b, bcols, c, i);
+  if (r1 - i == 1) gemm_block<1>(a, acols, 1, acols, b, bcols, c, i);
+}
+
+/// Rows [r0, r1) of Y = S·X for S in CSR form: each output row's columns
+/// accumulate in registers over the row's edges in CSR order, starting
+/// from +0 like the scalar loop's cleared row. No zero skip: the scalar
+/// SpMM multiplies every stored weight.
+__attribute__((target(NS_SIMD_TARGET))) inline void spmm_rows_vec(
+    const std::size_t* row_ptr, const std::uint32_t* col, const float* val,
+    const float* x, std::size_t xcols, float* y, std::size_t r0,
+    std::size_t r1) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const std::size_t e0 = row_ptr[r], e1 = row_ptr[r + 1];
+    float* yrow = y + r * xcols;
     std::size_t j = 0;
-    // 32-wide register panel (4 ymm accumulators): C row elements live in
-    // registers across the whole k loop instead of a load/store per k.
-    // hidden_dim = 32 hits this panel exactly.
-    for (; j + 32 <= bcols; j += 32) {
+    for (; j + 32 <= xcols; j += 32) {
       __m256 acc0 = _mm256_setzero_ps();
       __m256 acc1 = _mm256_setzero_ps();
       __m256 acc2 = _mm256_setzero_ps();
       __m256 acc3 = _mm256_setzero_ps();
-      for (std::size_t k = 0; k < acols; ++k) {
-        const float aik = arow[k];
-        if (aik == 0.0f) continue;  // same skip as the scalar kernel
-        const __m256 va = _mm256_set1_ps(aik);
-        const float* bp = b + k * bcols + j;
-        acc0 = madd(va, _mm256_loadu_ps(bp + 0), acc0);
-        acc1 = madd(va, _mm256_loadu_ps(bp + 8), acc1);
-        acc2 = madd(va, _mm256_loadu_ps(bp + 16), acc2);
-        acc3 = madd(va, _mm256_loadu_ps(bp + 24), acc3);
+      for (std::size_t e = e0; e < e1; ++e) {
+        const __m256 vw = _mm256_set1_ps(val[e]);
+        const float* xp = x + col[e] * xcols + j;
+        acc0 = madd(vw, _mm256_loadu_ps(xp + 0), acc0);
+        acc1 = madd(vw, _mm256_loadu_ps(xp + 8), acc1);
+        acc2 = madd(vw, _mm256_loadu_ps(xp + 16), acc2);
+        acc3 = madd(vw, _mm256_loadu_ps(xp + 24), acc3);
       }
-      _mm256_storeu_ps(crow + j + 0, acc0);
-      _mm256_storeu_ps(crow + j + 8, acc1);
-      _mm256_storeu_ps(crow + j + 16, acc2);
-      _mm256_storeu_ps(crow + j + 24, acc3);
+      _mm256_storeu_ps(yrow + j + 0, acc0);
+      _mm256_storeu_ps(yrow + j + 8, acc1);
+      _mm256_storeu_ps(yrow + j + 16, acc2);
+      _mm256_storeu_ps(yrow + j + 24, acc3);
     }
-    for (; j + 8 <= bcols; j += 8) {
+    for (; j + 8 <= xcols; j += 8) {
       __m256 acc = _mm256_setzero_ps();
-      for (std::size_t k = 0; k < acols; ++k) {
-        const float aik = arow[k];
-        if (aik == 0.0f) continue;
-        acc = madd(_mm256_set1_ps(aik), _mm256_loadu_ps(b + k * bcols + j),
-                   acc);
+      for (std::size_t e = e0; e < e1; ++e) {
+        acc = madd(_mm256_set1_ps(val[e]),
+                   _mm256_loadu_ps(x + col[e] * xcols + j), acc);
       }
-      _mm256_storeu_ps(crow + j, acc);
+      _mm256_storeu_ps(yrow + j, acc);
     }
-    for (; j < bcols; ++j) {
+    for (; j < xcols; ++j) {
       float acc = 0.0f;
-      for (std::size_t k = 0; k < acols; ++k) {
-        const float aik = arow[k];
-        if (aik == 0.0f) continue;
-        acc = madd1(aik, b[k * bcols + j], acc);
+      for (std::size_t e = e0; e < e1; ++e) {
+        acc = madd1(val[e], x[col[e] * xcols + j], acc);
       }
-      crow[j] = acc;
+      yrow[j] = acc;
     }
   }
+}
+
+/// Rows [i, i + 8V) of the column c = Aᵀ·b: V vectors of 8 output rows,
+/// each a contiguous slice of one A row against one broadcast b entry.
+template <std::size_t V>
+__attribute__((target(NS_SIMD_TARGET))) inline void gemv_t_block(
+    const float* a, std::size_t arows, std::size_t acols, const float* b,
+    float* c, std::size_t i) {
+  __m256 acc[V];
+  for (std::size_t v = 0; v < V; ++v) acc[v] = _mm256_setzero_ps();
+  for (std::size_t k = 0; k < arows; ++k) {
+    const __m256 vb = _mm256_set1_ps(b[k]);
+    for (std::size_t v = 0; v < V; ++v) {
+      acc[v] = madd_nz(_mm256_loadu_ps(a + k * acols + i + 8 * v), vb, acc[v]);
+    }
+  }
+  for (std::size_t v = 0; v < V; ++v) _mm256_storeu_ps(c + i + 8 * v, acc[v]);
+}
+
+/// Rows [r0, r1) of C = Aᵀ·B (A is arows×acols, B is arows×bcols; output
+/// row i is column i of A), with gemm_rows' zero skip on A and k (the A
+/// row) ascending per output element: 2-row blocks of gemm_block, except
+/// at bcols = 1 (the attention's K̃ᵀ·1), where output rows share vectors.
+__attribute__((target(NS_SIMD_TARGET))) inline void gemm_at_b_vec(
+    const float* a, std::size_t arows, std::size_t acols, const float* b,
+    std::size_t bcols, float* c, std::size_t r0, std::size_t r1) {
+  std::size_t i = r0;
+  if (bcols == 1) {
+    for (; i + 32 <= r1; i += 32) gemv_t_block<4>(a, arows, acols, b, c, i);
+    for (; i + 8 <= r1; i += 8) gemv_t_block<1>(a, arows, acols, b, c, i);
+  }
+  for (; i + 2 <= r1; i += 2) gemm_block<2>(a, 1, acols, arows, b, bcols, c, i);
+  if (i < r1) gemm_block<1>(a, 1, acols, arows, b, bcols, c, i);
 }
 
 __attribute__((target(NS_SIMD_TARGET))) inline void relu_vec(float* y,
@@ -328,6 +478,34 @@ inline void gemm_rows_vec(const float* a, std::size_t acols, const float* b,
   }
 }
 
+// SpMM and AᵀB on NEON: the per-edge / per-k axpy over cleared rows that
+// the call sites ran before these kernels existed.
+inline void spmm_rows_vec(const std::size_t* row_ptr, const std::uint32_t* col,
+                          const float* val, const float* x, std::size_t xcols,
+                          float* y, std::size_t r0, std::size_t r1) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    float* yrow = y + r * xcols;
+    for (std::size_t j = 0; j < xcols; ++j) yrow[j] = 0.0f;
+    for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+      axpy_vec(yrow, x + col[e] * xcols, val[e], xcols);
+    }
+  }
+}
+
+inline void gemm_at_b_vec(const float* a, std::size_t arows, std::size_t acols,
+                          const float* b, std::size_t bcols, float* c,
+                          std::size_t r0, std::size_t r1) {
+  for (std::size_t i = r0; i < r1; ++i) {
+    float* crow = c + i * bcols;
+    for (std::size_t j = 0; j < bcols; ++j) crow[j] = 0.0f;
+    for (std::size_t k = 0; k < arows; ++k) {
+      const float aki = a[k * acols + i];
+      if (aki == 0.0f) continue;
+      axpy_vec(crow, b + k * bcols, aki, bcols);
+    }
+  }
+}
+
 inline void relu_vec(float* y, const float* x, std::size_t n) {
   const float32x4_t zero = vdupq_n_f32(0.0f);
   std::size_t j = 0;
@@ -391,7 +569,7 @@ inline void add_scalar_vec(float* y, const float* x, float s, std::size_t n) {
 
 #if defined(NS_SIMD_X86) || defined(NS_SIMD_NEON)
 
-/// y[j] += a * x[j] for j in [0, n). The inner update of SpMM and AᵀB.
+/// y[j] += a * x[j] for j in [0, n).
 inline bool axpy(float* y, const float* x, float a, std::size_t n) {
   if (!detail::g_enabled) return false;
   detail::axpy_vec(y, x, a, n);
@@ -406,6 +584,28 @@ inline bool gemm_rows(const float* a, std::size_t acols, const float* b,
                       std::size_t r1) {
   if (!detail::g_enabled) return false;
   detail::gemm_rows_vec(a, acols, b, bcols, c, r0, r1);
+  return true;
+}
+
+/// Rows [r0, r1) of Y = S·X for a CSR S (row_ptr/col/val) and a row-major
+/// X with xcols columns. Overwrites the Y rows; each element accumulates
+/// its row's edges in CSR order from +0, like the scalar SpMM.
+inline bool spmm_rows(const std::size_t* row_ptr, const std::uint32_t* col,
+                      const float* val, const float* x, std::size_t xcols,
+                      float* y, std::size_t r0, std::size_t r1) {
+  if (!detail::g_enabled) return false;
+  detail::spmm_rows_vec(row_ptr, col, val, x, xcols, y, r0, r1);
+  return true;
+}
+
+/// Rows [r0, r1) of C = Aᵀ·B (A is arows×acols, B is arows×bcols, C is
+/// acols×bcols). Overwrites the C rows; k ascends per element like the
+/// scalar kernel, including its skip of zero A entries.
+inline bool gemm_at_b(const float* a, std::size_t arows, std::size_t acols,
+                      const float* b, std::size_t bcols, float* c,
+                      std::size_t r0, std::size_t r1) {
+  if (!detail::g_enabled) return false;
+  detail::gemm_at_b_vec(a, arows, acols, b, bcols, c, r0, r1);
   return true;
 }
 
@@ -472,6 +672,15 @@ inline bool row_scale(float* y, const float* x, const float* s,
 inline bool axpy(float*, const float*, float, std::size_t) { return false; }
 inline bool gemm_rows(const float*, std::size_t, const float*, std::size_t,
                       float*, std::size_t, std::size_t) {
+  return false;
+}
+inline bool spmm_rows(const std::size_t*, const std::uint32_t*, const float*,
+                      const float*, std::size_t, float*, std::size_t,
+                      std::size_t) {
+  return false;
+}
+inline bool gemm_at_b(const float*, std::size_t, std::size_t, const float*,
+                      std::size_t, float*, std::size_t, std::size_t) {
   return false;
 }
 inline bool relu(float*, const float*, std::size_t) { return false; }

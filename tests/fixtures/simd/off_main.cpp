@@ -3,6 +3,9 @@
 // false) and leave its outputs untouched. Exercises only the header-inline
 // API so the TU links without ns_nn.
 
+#include <cstddef>
+#include <cstdint>
+
 #include "nn/kernels_simd.hpp"
 
 namespace simd = ns::nn::simd;
@@ -10,7 +13,6 @@ namespace simd = ns::nn::simd;
 int main() {
   float y[8] = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f};
   const float x[8] = {8.0f, 7.0f, 6.0f, 5.0f, 4.0f, 3.0f, 2.0f, 1.0f};
-  const float saved = y[0];
 
   if (simd::axpy(y, x, 2.0f, 8)) return 1;
   if (simd::gemm_rows(x, 4, x, 2, y, 0, 2)) return 2;
@@ -22,8 +24,14 @@ int main() {
   if (simd::add_scalar(y, x, 0.5f, 8)) return 8;
   if (simd::bias_add(y, x, x, 2, 4)) return 9;
   if (simd::row_scale(y, x, x, 2, 4)) return 10;
+  const std::size_t row_ptr[3] = {0, 1, 2};
+  const std::uint32_t col[2] = {0, 1};
+  if (simd::spmm_rows(row_ptr, col, x, x, 4, y, 0, 2)) return 12;
+  if (simd::gemm_at_b(x, 2, 4, x, 2, y, 0, 4)) return 13;
 
   // A refused kernel must not have written anything.
-  if (y[0] != saved) return 11;
+  for (int j = 0; j < 8; ++j) {
+    if (y[j] != static_cast<float>(j + 1)) return 11;
+  }
   return 0;
 }

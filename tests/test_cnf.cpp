@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "cnf/dimacs.hpp"
@@ -184,6 +186,104 @@ TEST(DimacsTest, WriteParseRoundTrip) {
   for (std::size_t i = 0; i < f.num_clauses(); ++i) {
     EXPECT_EQ(r.formula.clause(i), f.clause(i));
   }
+}
+
+TEST(DimacsTest, AcceptsCrlfTabsPlusSignAndMinusZeroTerminator) {
+  const ParseResult r = parse_dimacs_string(
+      "c crlf input\r\np cnf 3 2\r\n1\t-2 +3\r\n-0\r\n\t2 3 0\r\n");
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_EQ(r.formula.num_clauses(), 2u);
+  EXPECT_EQ(r.formula.clause(0),
+            (Clause{Lit::from_dimacs(1), Lit::from_dimacs(-2),
+                    Lit::from_dimacs(3)}));
+  EXPECT_EQ(r.formula.clause(1),
+            (Clause{Lit::from_dimacs(2), Lit::from_dimacs(3)}));
+}
+
+TEST(DimacsTest, CommentBetweenClauseLinesAndNoFinalNewline) {
+  const ParseResult r =
+      parse_dimacs_string("p cnf 3 2\n1 -2\nc inside a clause\n3 0\n-1 2 0");
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_EQ(r.formula.num_clauses(), 2u);
+  EXPECT_EQ(r.formula.clause(0).size(), 3u);
+  EXPECT_EQ(r.formula.clause(1),
+            (Clause{Lit::from_dimacs(-1), Lit::from_dimacs(2)}));
+}
+
+TEST(DimacsTest, RejectsLiteralBeyondInt32) {
+  const ParseResult r = parse_dimacs_string("p cnf 2 1\n2147483648 0\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.line, 2u);
+  EXPECT_EQ(r.error, "unexpected token in clause");
+}
+
+TEST(DimacsTest, RejectsUnreadableTokenAtEndOfLine) {
+  // A bare sign or an out-of-range literal is a bad token wherever it sits,
+  // the end of a line included: it is reported, never dropped.
+  for (const char* text : {"p cnf 2 1\n1 2147483648\n2 0\n",
+                           "p cnf 2 1\n1 -\n2 0\n", "p cnf 2 1\n1 +"}) {
+    const ParseResult r = parse_dimacs_string(text);
+    EXPECT_FALSE(r.ok) << text;
+    EXPECT_EQ(r.line, 2u) << text;
+    EXPECT_EQ(r.error, "unexpected token in clause") << text;
+  }
+}
+
+TEST(DimacsTest, ErrorLinesCountCommentAndBlankLines) {
+  const ParseResult lit =
+      parse_dimacs_string("c one\nc two\np cnf 2 1\nc three\n\n1 3 0\n");
+  EXPECT_FALSE(lit.ok);
+  EXPECT_EQ(lit.line, 6u);
+  EXPECT_EQ(lit.error, "literal 3 exceeds declared variable count");
+
+  const ParseResult header = parse_dimacs_string("c x\n\np cnf 2\n1 0\n");
+  EXPECT_FALSE(header.ok);
+  EXPECT_EQ(header.line, 3u);
+  EXPECT_EQ(header.error, "malformed 'p cnf' header");
+
+  const ParseResult before = parse_dimacs_string("c x\n1 2 0\np cnf 2 1\n");
+  EXPECT_FALSE(before.ok);
+  EXPECT_EQ(before.line, 2u);
+  EXPECT_EQ(before.error, "clause before 'p cnf' header");
+
+  const ParseResult token = parse_dimacs_string("p cnf 2 1\nc y\n1 x 0\n");
+  EXPECT_FALSE(token.ok);
+  EXPECT_EQ(token.line, 3u);
+  EXPECT_EQ(token.error, "unexpected token in clause");
+}
+
+TEST(DimacsTest, StringStreamAndFileEntryPointsAgree) {
+  const std::string text =
+      "c fixture\np cnf 5 3\n1 -2 0\n3 4\n-5 0\r\n  2 5 -1 0\n";
+  const std::string path = ::testing::TempDir() + "dimacs_entry_points.cnf";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  std::istringstream in(text);
+  const ParseResult from_string = parse_dimacs_string(text);
+  const ParseResult from_stream = parse_dimacs(in);
+  const ParseResult from_file = parse_dimacs_file(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(from_string.ok) << from_string.error;
+  for (const ParseResult* r : {&from_stream, &from_file}) {
+    ASSERT_TRUE(r->ok) << r->error;
+    EXPECT_EQ(r->formula.num_vars(), from_string.formula.num_vars());
+    ASSERT_EQ(r->formula.num_clauses(), from_string.formula.num_clauses());
+    for (std::size_t i = 0; i < r->formula.num_clauses(); ++i) {
+      EXPECT_EQ(r->formula.clause(i), from_string.formula.clause(i));
+    }
+  }
+  EXPECT_EQ(from_string.formula.num_clauses(), 3u);
+
+  std::istringstream bad_in("p cnf 2 1\nc\n1 -3 0\n");
+  const ParseResult bad_string = parse_dimacs_string("p cnf 2 1\nc\n1 -3 0\n");
+  const ParseResult bad_stream = parse_dimacs(bad_in);
+  EXPECT_FALSE(bad_string.ok);
+  EXPECT_FALSE(bad_stream.ok);
+  EXPECT_EQ(bad_string.line, 3u);
+  EXPECT_EQ(bad_stream.line, bad_string.line);
+  EXPECT_EQ(bad_stream.error, bad_string.error);
 }
 
 TEST(DimacsTest, MissingFileReportsError) {

@@ -107,58 +107,239 @@ TEST_F(SimdKernelsTest, AxpyMatchesScalar) {
   }
 }
 
+/// B/X widths for the GEMM, AᵀB and SpMM sweeps: every kSizes boundary plus
+/// two full 32-wide register panels.
+std::vector<std::size_t> panel_widths() {
+  std::vector<std::size_t> w(std::begin(kSizes), std::end(kSizes));
+  w.push_back(64);
+  return w;
+}
+
+/// K extents of the sweeps: a single term, a short odd run, and the
+/// hidden width with and without a tail.
+const std::size_t kDepths[] = {1, 5, 32, 33};
+
+const float kNaN = std::numeric_limits<float>::quiet_NaN();
+const float kInf = std::numeric_limits<float>::infinity();
+// (-kTiny)·kTiny is exactly -1e-60: an fma from +0 rounds it to -0, so the
+// accumulator underflows to -0 (the unfused product rounds to -0 and +0 + -0
+// is +0, so only FMA builds reach it).
+constexpr float kTiny = 1e-30f;
+
+/// The term whose B row is poisoned: 2, or the last one in shorter sums.
+std::size_t poison_term(std::size_t kdim) { return kdim > 2 ? 2 : kdim - 1; }
+
+/// Test data for C = A·B with A given as an element accessor: column k of
+/// A against row k of B. `seed_zero_skip_cases` plants, through `set_a`
+/// (output row i, term k), the zero-skip contract's edge cases:
+///  - output row 1 all ±0, which must give +0;
+///  - term `kPoison` ±0 in every row, against a B row of ±inf and NaN;
+///  - a lone -0 in output row 3;
+///  - NaN at term kdim-1 of output row 4 (against a finite B row), which
+///    must propagate;
+///  - output row 5 = kTiny·(-kTiny) at term 0 followed by only ±0 terms:
+///    an accumulator of -0 that the zero terms must leave at -0.
+/// Rows and terms beyond the shape are simply not planted.
+template <typename SetA>
+void seed_zero_skip_cases(std::size_t rows, std::size_t kdim, float* b,
+                          std::size_t bcols, const SetA& set_a) {
+  const std::size_t kPoison = poison_term(kdim);
+  const float kPoisonValues[] = {kInf, -kInf, kNaN};
+  for (std::size_t i = 0; i < rows; ++i) {
+    set_a(i, kPoison, (i % 2 == 0) ? 0.0f : -0.0f);
+  }
+  for (std::size_t j = 0; j < bcols; ++j) {
+    b[kPoison * bcols + j] = kPoisonValues[j % 3];
+  }
+  if (rows > 1) {
+    for (std::size_t k = 0; k < kdim; ++k) set_a(1, k, (k % 2) ? 0.0f : -0.0f);
+  }
+  if (rows > 3 && kdim > 4) set_a(3, 4, -0.0f);
+  if (rows > 4 && kdim > 1 && kdim - 1 != kPoison) set_a(4, kdim - 1, kNaN);
+  if (rows > 5 && kPoison != 0) {
+    set_a(5, 0, -kTiny);
+    for (std::size_t j = 0; j < bcols; ++j) b[j] = kTiny;
+    for (std::size_t k = 1; k < kdim; ++k) set_a(5, k, (k % 2) ? 0.0f : -0.0f);
+  }
+}
+
+/// Checks the planted cases of seed_zero_skip_cases on the vector result.
+void expect_zero_skip_cases(const std::vector<float>& c, std::size_t rows,
+                            std::size_t kdim, std::size_t bcols,
+                            const char* what) {
+  const std::size_t kPoison = poison_term(kdim);
+  for (std::size_t idx = 0; idx < c.size(); ++idx) {
+    const std::size_t i = idx / bcols;
+    if (rows > 1 && i == 1) {
+      EXPECT_EQ(bits(c[idx]), bits(0.0f))
+          << what << ": an all-zero A row must give +0.0f at " << idx;
+    } else if (rows > 4 && i == 4 && kdim > 1 && kdim - 1 != kPoison) {
+      EXPECT_TRUE(std::isnan(c[idx]))
+          << what << ": a NaN A entry must propagate at " << idx;
+    } else if (rows > 5 && i == 5 && kPoison != 0) {
+#if defined(__FMA__) || defined(__aarch64__)
+      EXPECT_EQ(bits(c[idx]), bits(-0.0f))
+          << what << ": zero A entries changed a -0 accumulator at " << idx;
+#endif
+    } else {
+      EXPECT_TRUE(std::isfinite(c[idx]))
+          << what << ": poisoned B row leaked through a zero A entry at "
+          << idx;
+    }
+  }
+}
+
 TEST_F(SimdKernelsTest, GemmRowsMatchesScalar) {
   if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
   // Zero-skip contract: a zero A entry (either sign) contributes nothing,
-  // not even the inf/NaN its B row would turn into NaN under 0 * x.
-  constexpr std::size_t kZeroRow = 1, kPoisonCol = 2;
-  const float kPoison[] = {std::numeric_limits<float>::infinity(),
-                           -std::numeric_limits<float>::infinity(),
-                           std::numeric_limits<float>::quiet_NaN()};
-  for (const std::size_t bcols : kSizes) {
-    const std::size_t rows = 4, acols = 5;
-    std::vector<float> a = random_data(rows * acols, 7u + bcols);
-    std::vector<float> b = random_data(acols * bcols, 31u + bcols);
-    for (std::size_t k = 0; k < acols; ++k) {
-      a[kZeroRow * acols + k] = (k % 2 == 0) ? -0.0f : 0.0f;
-    }
-    for (std::size_t i = 0; i < rows; ++i) {
-      a[i * acols + kPoisonCol] = (i % 2 == 0) ? 0.0f : -0.0f;
-    }
-    a[3 * acols + 4] = -0.0f;  // a lone negative zero in a live row
-    for (std::size_t j = 0; j < bcols; ++j) {
-      b[kPoisonCol * bcols + j] = kPoison[j % 3];
-    }
-    std::vector<float> c_simd(rows * bcols, -1.0f);
-    std::vector<float> c_ref(rows * bcols, -1.0f);
+  // not even the inf/NaN its B row would turn into NaN under 0 * x. Rows
+  // 1..7 cover the 3-row register block and both of its tails; 8, 9 and 17
+  // the 8-row vectors of the single-column (bcols = 1) path and its tail.
+  const std::size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17};
+  for (const std::size_t bcols : panel_widths()) {
+    for (const std::size_t acols : kDepths) {
+      for (const std::size_t rows : kRows) {
+        const std::uint32_t seed =
+            static_cast<std::uint32_t>(7 + bcols * 131 + acols * 17 + rows);
+        std::vector<float> a = random_data(rows * acols, seed);
+        std::vector<float> b = random_data(acols * bcols, seed + 1);
+        seed_zero_skip_cases(rows, acols, b.data(), bcols,
+                             [&](std::size_t i, std::size_t k, float v) {
+                               a[i * acols + k] = v;
+                             });
+        std::vector<float> c_simd(rows * bcols, -1.0f);
+        std::vector<float> c_ref(rows * bcols, -1.0f);
 
-    set_enabled(true);
-    ASSERT_TRUE(
-        gemm_rows(a.data(), acols, b.data(), bcols, c_simd.data(), 0, rows));
-    set_enabled(false);
-    ASSERT_FALSE(
-        gemm_rows(a.data(), acols, b.data(), bcols, c_ref.data(), 0, rows));
-    // The production fallback (matmul_into's scalar loop, zero-skip and
-    // all) over rows it first clears.
-    for (std::size_t i = 0; i < rows; ++i) {
-      float* crow = c_ref.data() + i * bcols;
-      for (std::size_t j = 0; j < bcols; ++j) crow[j] = 0.0f;
-      for (std::size_t k = 0; k < acols; ++k) {
-        const float aik = a[i * acols + k];
-        if (aik == 0.0f) continue;
-        const float* brow = b.data() + k * bcols;
-        for (std::size_t j = 0; j < bcols; ++j) crow[j] += aik * brow[j];
+        set_enabled(true);
+        ASSERT_TRUE(gemm_rows(a.data(), acols, b.data(), bcols,
+                              c_simd.data(), 0, rows));
+        set_enabled(false);
+        ASSERT_FALSE(gemm_rows(a.data(), acols, b.data(), bcols,
+                               c_ref.data(), 0, rows));
+        // The production fallback (matmul_into's scalar loop, zero-skip and
+        // all) over rows it first clears.
+        for (std::size_t i = 0; i < rows; ++i) {
+          float* crow = c_ref.data() + i * bcols;
+          for (std::size_t j = 0; j < bcols; ++j) crow[j] = 0.0f;
+          for (std::size_t k = 0; k < acols; ++k) {
+            const float aik = a[i * acols + k];
+            if (aik == 0.0f) continue;
+            const float* brow = b.data() + k * bcols;
+            for (std::size_t j = 0; j < bcols; ++j) crow[j] += aik * brow[j];
+          }
+        }
+
+        SCOPED_TRACE("rows=" + std::to_string(rows) +
+                     " acols=" + std::to_string(acols));
+        expect_bitwise_equal(c_simd, c_ref, "gemm_rows", bcols);
+        expect_zero_skip_cases(c_simd, rows, acols, bcols, "gemm_rows");
       }
     }
+  }
+}
 
-    expect_bitwise_equal(c_simd, c_ref, "gemm_rows", bcols);
-    for (std::size_t j = 0; j < bcols; ++j) {
-      EXPECT_EQ(bits(c_simd[kZeroRow * bcols + j]), bits(0.0f))
-          << "all-zero A row must give +0.0f at column " << j;
+TEST_F(SimdKernelsTest, GemmAtBMatchesScalar) {
+  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
+  // C = AᵀB: output row i is column i of A. Output rows cover the 2-row
+  // block and its tail, and at bcols = 1 the 8-row vectors, the 32-row
+  // block and the scalar remainder.
+  const std::size_t kOutRows[] = {1, 2, 3, 5, 7, 8, 9, 17, 32, 40};
+  for (const std::size_t bcols : panel_widths()) {
+    for (const std::size_t arows : kDepths) {
+      for (const std::size_t acols : kOutRows) {
+        const std::uint32_t seed =
+            static_cast<std::uint32_t>(5 + bcols * 131 + arows * 17 + acols);
+        std::vector<float> a = random_data(arows * acols, seed);
+        std::vector<float> b = random_data(arows * bcols, seed + 1);
+        seed_zero_skip_cases(acols, arows, b.data(), bcols,
+                             [&](std::size_t i, std::size_t k, float v) {
+                               a[k * acols + i] = v;
+                             });
+        std::vector<float> c_simd(acols * bcols, -1.0f);
+        std::vector<float> c_ref(acols * bcols, -1.0f);
+
+        set_enabled(true);
+        ASSERT_TRUE(gemm_at_b(a.data(), arows, acols, b.data(), bcols,
+                              c_simd.data(), 0, acols));
+        set_enabled(false);
+        ASSERT_FALSE(gemm_at_b(a.data(), arows, acols, b.data(), bcols,
+                               c_ref.data(), 0, acols));
+        // matmul_at_b_into's scalar fallback.
+        for (std::size_t i = 0; i < acols; ++i) {
+          float* crow = c_ref.data() + i * bcols;
+          for (std::size_t j = 0; j < bcols; ++j) crow[j] = 0.0f;
+          for (std::size_t k = 0; k < arows; ++k) {
+            const float aki = a[k * acols + i];
+            if (aki == 0.0f) continue;
+            const float* brow = b.data() + k * bcols;
+            for (std::size_t j = 0; j < bcols; ++j) crow[j] += aki * brow[j];
+          }
+        }
+
+        SCOPED_TRACE("arows=" + std::to_string(arows) +
+                     " acols=" + std::to_string(acols));
+        expect_bitwise_equal(c_simd, c_ref, "gemm_at_b", bcols);
+        expect_zero_skip_cases(c_simd, acols, arows, bcols, "gemm_at_b");
+      }
     }
-    for (std::size_t idx = 0; idx < c_simd.size(); ++idx) {
-      EXPECT_TRUE(std::isfinite(c_simd[idx]))
-          << "poisoned B row leaked through a zero A entry at " << idx;
+  }
+}
+
+TEST_F(SimdKernelsTest, SpmmRowsMatchesScalar) {
+  if (!vector_tier()) GTEST_SKIP() << "vector tier unavailable";
+  // Y = S·X over a random CSR S with empty rows, repeated columns and zero
+  // weights. SpMM has no zero skip: a zero weight against the ±inf row of
+  // X gives NaN in both tiers.
+  constexpr std::size_t kXRows = 9, kInfRow = 4;
+  for (const std::size_t xcols : panel_widths()) {
+    for (const std::size_t rows : {1, 2, 3, 7, 40}) {
+      std::mt19937 rng(static_cast<std::uint32_t>(xcols * 31 + rows));
+      std::vector<std::size_t> row_ptr(rows + 1, 0);
+      std::vector<std::uint32_t> col;
+      std::vector<float> val;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t degree = rng() % 6;  // 0: an empty row
+        for (std::size_t e = 0; e < degree; ++e) {
+          col.push_back(static_cast<std::uint32_t>(rng() % kXRows));
+          val.push_back(rng() % 5 == 0 ? 0.0f
+                                       : static_cast<float>(rng() % 200) / 50.0f -
+                                             2.0f);
+        }
+        row_ptr[r + 1] = col.size();
+      }
+      std::vector<float> x = random_data(kXRows * xcols, 61u + xcols);
+      for (std::size_t j = 0; j < xcols; ++j) {
+        x[kInfRow * xcols + j] = (j % 2) ? kInf : -kInf;
+      }
+      std::vector<float> y_simd(rows * xcols, -1.0f);
+      std::vector<float> y_ref(rows * xcols, -1.0f);
+
+      set_enabled(true);
+      ASSERT_TRUE(spmm_rows(row_ptr.data(), col.data(), val.data(), x.data(),
+                            xcols, y_simd.data(), 0, rows));
+      set_enabled(false);
+      ASSERT_FALSE(spmm_rows(row_ptr.data(), col.data(), val.data(), x.data(),
+                             xcols, y_ref.data(), 0, rows));
+      // SparseMatrix::multiply_into's scalar fallback.
+      for (std::size_t r = 0; r < rows; ++r) {
+        float* yrow = y_ref.data() + r * xcols;
+        for (std::size_t j = 0; j < xcols; ++j) yrow[j] = 0.0f;
+        for (std::size_t e = row_ptr[r]; e < row_ptr[r + 1]; ++e) {
+          const float w = val[e];
+          const float* xrow = x.data() + col[e] * xcols;
+          for (std::size_t j = 0; j < xcols; ++j) yrow[j] += w * xrow[j];
+        }
+      }
+
+      SCOPED_TRACE("rows=" + std::to_string(rows));
+      expect_bitwise_equal(y_simd, y_ref, "spmm_rows", xcols);
+      for (std::size_t r = 0; r < rows; ++r) {
+        if (row_ptr[r] != row_ptr[r + 1]) continue;
+        for (std::size_t j = 0; j < xcols; ++j) {
+          EXPECT_EQ(bits(y_simd[r * xcols + j]), bits(0.0f))
+              << "an empty CSR row must give +0.0f";
+        }
+      }
     }
   }
 }

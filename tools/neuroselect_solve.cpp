@@ -55,14 +55,16 @@
 ///   10  SAT (model checked)
 ///   20  UNSAT
 ///    0  unknown (budget exhausted)
-///    1  usage/parse error, audit failure, or a SAT model that fails its
-///       check ("c model check failed" on stderr; no status line)
+///    1  usage/parse error, audit failure, resource exhaustion ("c error:
+///       out of memory" on stderr), or a SAT model that fails its check
+///       ("c model check failed" on stderr; no status line)
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -245,9 +247,8 @@ int report_sat(const ns::CnfFormula& formula, const ns::Model& model,
   return 10;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole command: option parsing, solve and report.
+int run(int argc, char** argv) {
   ns::solver::SolverOptions options;
   ns::solver::Solver::Budget budget;
   std::vector<Lit> assumptions;
@@ -546,5 +547,19 @@ int main(int argc, char** argv) {
       std::printf("c stopped: %s\n", ns::solver::stop_reason_name(out.why));
       std::printf("s UNKNOWN\n");
       return 0;
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Resource exhaustion (say, a header declaring two billion variables
+  // under a memory limit) ends the run with a diagnostic, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::bad_alloc&) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "c error: out of memory (std::bad_alloc)\n");
+    return 1;
   }
 }
